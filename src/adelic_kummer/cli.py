@@ -69,6 +69,16 @@ def _vector_from_json(p: int, data: dict) -> ValuationVector:
     return ValuationVector(p, {Point(lbl): v for lbl, v in data.items()})
 
 
+def _precision(text: str) -> int:
+    try:
+        prec = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}") from None
+    if prec <= 0:
+        raise argparse.ArgumentTypeError(f"precision must be positive, got {prec}")
+    return prec
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adelic-kummer",
@@ -78,9 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=int, required=True, help="prime rank")
     parser.add_argument(
         "--prec",
-        type=int,
-        default=int(os.environ.get("ADELIC_PREC", ls.DEFAULT_PREC)),
-        help="series precision (env ADELIC_PREC overrides the default)",
+        type=_precision,
+        # a string default goes through _precision too, so ADELIC_PREC is checked
+        default=os.environ.get("ADELIC_PREC", str(ls.DEFAULT_PREC)),
+        help="series precision, a positive integer (env ADELIC_PREC overrides the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

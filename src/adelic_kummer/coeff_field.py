@@ -13,6 +13,22 @@ nested tuple, externally a FieldElem exposes the flat coordinate vector
 over F_ell (tensor-product basis, lowest index first), whose length is
 the absolute degree of the level.
 
+Packed series windows.  ``window_mul`` and ``window_inv`` treat a window
+of series coefficients as one Python int (Kronecker substitution; Harvey,
+arXiv:0712.4046), so one big-int product replaces the convolution.  The
+coordinate of basis monomial x1^e1 ... xL^eL (ei < di, the step degrees)
+of the coefficient of z^k goes to slot k*M + sum ei * prod_{j<i} (2dj - 1),
+with M = prod (2di - 1); level 0 is M = 1.  Exponent sums stay below
+2di - 1, so a product of two monomials lands in the sum of their slots,
+distinct exponent sums in distinct slots, and nothing carries into a
+neighbouring slot.  A lower level's coordinates are a prefix of its
+embedding, so mixed-level windows pack without ``embed``.  A product slot
+sums at most n*D products below ell^2 (n the window length, D the absolute
+degree), and reducing a slot group back to D coordinates is one more
+product, with the packed columns of the table of reduced monomials (column
+sums at most S), so slots are sized for n*D*(ell-1)^2*S and never overflow,
+whatever ell or n.
+
 Canonical choices.  Roots of unity and p-th roots are picked as the
 lexicographically smallest candidate (on flat coordinates) at the minimal
 sufficient level, which makes every construction reproducible.
@@ -26,7 +42,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+import sys
+from array import array
+from math import gcd, prod
+from operator import attrgetter
 
 from .errors import NotARootOfUnity, ZeroInput
 
@@ -107,6 +126,150 @@ def elem_from_text(text: str) -> FieldElem:
     return FieldElem(int(head), coeffs)
 
 
+# array type codes of the slot widths, in bytes, that pack and unpack in C;
+# arrays use the machine's byte order, so only little-endian machines do
+_SLOT_CODES = (
+    {array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+)
+_SLOT_WIDTHS = sorted(_SLOT_CODES)
+_level = attrgetter("level")
+
+
+def _slot_width(bound: int) -> int:
+    """Slot width in bytes for slot values up to ``bound``."""
+    need = (bound.bit_length() + 7) // 8
+    for width in _SLOT_WIDTHS:
+        if need <= width:
+            return width
+    return need
+
+
+def _slots_to_int(vals, width: int) -> int:
+    """Pack non-negative ints below 2^(8*width) into one int, slot 0 lowest."""
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        raw = array(code, vals).tobytes()
+    else:
+        raw = b"".join(v.to_bytes(width, "little") for v in vals)
+    return int.from_bytes(raw, "little")
+
+
+def _int_to_slots(x: int, count: int, width: int, start: int = 0, stride: int = 1) -> list[int]:
+    """Slots start, start + stride, ... of the ``count`` lowest slots of
+    ``width`` bytes of x (x < 2^(8*width*count))."""
+    raw = x.to_bytes(count * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        return memoryview(raw).cast(code)[start::stride].tolist()
+    return [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(start * width, len(raw), stride * width)
+    ]
+
+
+class _WindowLayout:
+    """Packed-window slot layout of one tower level (see the module docstring).
+
+    A window is handled as a tuple of FieldElems, as columns (one list of
+    reduced ints per flat coordinate, indexed by z-power) or packed into
+    one int.  At level 0 (M = 1) slot placement and reduction are the
+    identity, and ``pack`` and ``reduce`` skip them.
+    """
+
+    __slots__ = (
+        "level", "ell", "l0", "dims", "slots", "offsets", "monomials", "term_bound",
+        "col_sum", "_table_cols", "_widths", "_reducers",
+    )
+
+    def __init__(self, level, dims, offsets, table, ell, l0):
+        self.level = level
+        self.ell = ell
+        self.l0 = l0  # the interned level-0 elements
+        self.dims = dims  # absolute degree of every level up to this one
+        self.slots = len(table)  # M
+        self.offsets = offsets  # slot of each flat coordinate
+        self.monomials = tuple(FieldElem(level, row) for row in table)
+        # one product coefficient: D products below ell^2 in every slot
+        self.term_bound = dims[level] * (ell - 1) ** 2
+        # _table_cols[t][m]: coordinate t of the reduced monomial of slot m
+        self._table_cols = tuple(zip(*table))
+        self.col_sum = max(map(sum, self._table_cols))
+        self._widths: dict[int, int] = {}
+        self._reducers: dict[int, tuple[int, ...]] = {}
+
+    def slot_width(self, n: int) -> int:
+        """Slot width of a product of windows of length n and its reduction."""
+        width = self._widths.get(n)
+        if width is None:
+            width = self._widths[n] = _slot_width(n * self.term_bound * self.col_sum)
+        return width
+
+    def reducers(self, width: int) -> tuple[int, ...]:
+        """The table columns packed in reverse slot order: the product of a
+        slot group with reducer t holds coordinate t of the group's
+        reduction in slot M - 1."""
+        red = self._reducers.get(width)
+        if red is None:
+            red = self._reducers[width] = tuple(
+                self.reverse_pack(col, width) for col in self._table_cols
+            )
+        return red
+
+    def reverse_pack(self, col, width: int) -> int:
+        bits, top = 8 * width, self.slots - 1
+        return sum(c << (bits * (top - m)) for m, c in enumerate(col))
+
+    def columns(self, window) -> list[list[int]]:
+        ell = self.ell
+        if self.slots == 1:
+            return [[c.coeffs[0] % ell for c in window]]
+        dim = self.dims[self.level]
+        flat = [
+            x % ell
+            for c in window
+            for x in (c.coeffs if len(c.coeffs) == dim else self._padded(c))
+        ]
+        return [flat[t::dim] for t in range(dim)]
+
+    def _padded(self, c: FieldElem) -> tuple:
+        # a lower level's coordinates are a prefix of its embedding
+        if len(c.coeffs) != self.dims[c.level]:
+            raise ValueError("coefficient vector does not match its level degree")
+        return c.coeffs + (0,) * (self.dims[self.level] - len(c.coeffs))
+
+    def pack(self, columns, width: int) -> int:
+        step = self.slots
+        if step == 1:
+            return _slots_to_int(columns[0], width)
+        vals = [0] * (len(columns[0]) * step)
+        for off, col in zip(self.offsets, columns):
+            vals[off::step] = col
+        return _slots_to_int(vals, width)
+
+    def reduce(self, packed: int, n: int, width: int) -> list[list[int]]:
+        """Reduced columns of the first n slot groups of a packed product."""
+        step, ell = self.slots, self.ell
+        packed &= (1 << (8 * width * n * step)) - 1
+        if step == 1:
+            return [[v % ell for v in _int_to_slots(packed, n, width)]]
+        # the products with each reducer, side by side in blocks of (n + 1) M slots
+        block = (n + 1) * step
+        shift = 8 * width * block
+        side = 0
+        for q in reversed(self.reducers(width)):
+            side = (side << shift) | packed * q
+        count = len(self.offsets) * block
+        red = [v % ell for v in _int_to_slots(side, count, width, step - 1, step)]
+        return [red[i : i + n] for i in range(0, count // step, n + 1)]
+
+    def wrap(self, columns) -> tuple[FieldElem, ...]:
+        if self.slots == 1:
+            l0 = self.l0
+            return tuple([l0[x] for x in columns[0]])
+        level = self.level
+        return tuple([FieldElem(level, c) for c in zip(*columns)])
+
+
 class _TowerStep:
     """One extension step: a monic irreducible polynomial over the level below."""
 
@@ -134,6 +297,7 @@ class FieldCtx:
         self._unity_cache: dict[int, FieldElem] = {}
         self._sylow_cache: dict[tuple[int, int], tuple] = {}
         self._l0 = tuple(FieldElem(0, (x,)) for x in range(ell))
+        self._layouts: dict[int, _WindowLayout] = {}
         self.zeta: FieldElem | None = None
 
     # ------------------------------------------------------------------
@@ -402,9 +566,6 @@ class FieldCtx:
     def is_zero(self, a: FieldElem) -> bool:
         return all(c == 0 for c in a.coeffs)
 
-    def is_one(self, a: FieldElem) -> bool:
-        return self.eq(a, self.one())
-
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if a.level == 0 and b.level == 0:
             return self._l0[(a.coeffs[0] + b.coeffs[0]) % self.ell]
@@ -470,6 +631,92 @@ class FieldCtx:
         if r == 0:
             raise ZeroDivisionError(f"{n} is divisible by the characteristic {self.ell}")
         return FieldElem(0, (pow(r, self.ell - 2, self.ell),))
+
+    # ------------------------------------------------------------------
+    # packed series windows
+
+    def window_mul(self, a, b, n: int) -> tuple[FieldElem, ...]:
+        """First n coefficients of the product of two coefficient windows.
+
+        The windows are read as polynomials in z, lowest power first.  The
+        result is at the highest level of any coefficient of either window.
+        """
+        lay = self._window_layout(max(max(map(_level, a)), max(map(_level, b))))
+        width = lay.slot_width(n)
+        packed = lay.pack(lay.columns(a[:n]), width) * lay.pack(lay.columns(b[:n]), width)
+        return lay.wrap(lay.reduce(packed, n, width))
+
+    def window_inv(self, a) -> tuple[FieldElem, ...]:
+        """First len(a) coefficients of 1/(a[0] + a[1] z + ...), a[0] nonzero.
+
+        Runs the recurrence w_0 = 1/a[0],
+        w_k = -w_0 (w_0 a_k + ... + w_{k-1} a_1).  Each sum is read out of
+        one running packed product and reduced against the monomial table
+        scaled by w_0, which multiplies by w_0 in the same step.  The result
+        is at the highest level in ``a``.
+        """
+        n = len(a)
+        lay = self._window_layout(max(map(_level, a)))
+        lead_inv = self.inv(a[0])
+        # coordinates of lead_inv * x^m for every slot monomial (just 1 at level 0)
+        scaled = lay.columns(
+            self.window_mul((lead_inv,), lay.monomials, lay.slots) if lay.slots > 1 else (lead_inv,)
+        )
+        width = _slot_width(n * lay.term_bound * max(map(sum, scaled)))
+        bits = 8 * width
+        group = bits * lay.slots
+        top = bits * (lay.slots - 1)
+        group_mask, slot_mask = (1 << group) - 1, (1 << bits) - 1
+        ell = self.ell
+        out = [col[:1] for col in scaled]  # w_0 = lead_inv
+        place = [
+            (lay.reverse_pack(col, width), bits * off, dest)
+            for col, off, dest in zip(scaled, lay.offsets, out)
+        ]
+        packed = lay.pack(lay.columns(a), width)
+        acc = lay.pack(out, width) * packed >> group  # w_0 a, from z^1 up
+        for _ in range(1, n):
+            g = acc & group_mask
+            wk = 0
+            for q, shift, dest in place:
+                x = -(g * q >> top & slot_mask) % ell
+                dest.append(x)
+                wk |= x << shift
+            acc = (acc + wk * packed) >> group
+        return lay.wrap(out)
+
+    def _window_layout(self, level: int) -> _WindowLayout:
+        """The slot layout of a level, built on first use (an idempotent fill,
+        so concurrent readers stay safe)."""
+        lay = self._layouts.get(level)
+        if lay is None:
+            degrees = [step.degree for step in self._steps[:level]]
+            radices = [2 * d - 1 for d in degrees]
+            offsets = []
+            for t in range(self.abs_degree(level)):
+                slot, scale = 0, 1
+                for d, r in zip(degrees, radices):
+                    t, e = divmod(t, d)
+                    slot += e * scale
+                    scale *= r
+                offsets.append(slot)
+            gens = [
+                self._lift_nested(
+                    i, level, (self._nzero(i - 1), self._none(i - 1)) + (self._nzero(i - 1),) * (d - 2)
+                )
+                for i, d in enumerate(degrees, 1)
+            ]
+            table = []
+            for m in range(prod(radices)):
+                mono = self._none(level)
+                for gen, r in zip(gens, radices):
+                    m, e = divmod(m, r)
+                    mono = self._nmul(level, mono, self._npow(level, gen, e))
+                table.append(self._flatten(level, mono))
+            dims = tuple(self.abs_degree(i) for i in range(level + 1))
+            lay = _WindowLayout(level, dims, tuple(offsets), table, self.ell, self._l0)
+            self._layouts[level] = lay
+        return lay
 
     # ------------------------------------------------------------------
     # enumeration and canonical choices
@@ -569,10 +816,6 @@ class FieldCtx:
 
     # ------------------------------------------------------------------
     # root extraction
-
-    def _any_order_r_nested(self, level: int, r: int):
-        """Some element of order r at this level (r prime, r | q - 1)."""
-        return self._sylow_data(level, r)[1]
 
     def _sylow_data(self, level: int, r: int):
         """(eta, gamma, t, s) with q-1 = r^s t, eta of order r^s, gamma of order r."""
@@ -684,7 +927,7 @@ class FieldCtx:
         gen = (self._nzero(top), self._none(top)) + tuple(
             self._nzero(top) for _ in range(r - 2)
         )
-        w_top = self._any_order_r_nested(top, r)
+        w_top = self._sylow_data(top, r)[1]  # an element of order r
         w = self._lift_nested(top, new_level, w_top)
         cands = []
         acc = self._none(new_level)

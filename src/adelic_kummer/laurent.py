@@ -13,6 +13,10 @@ cancels leading terms the window renormalizes, and when it cancels the
 whole known range without the operands being exact negatives (identical
 windows), PrecisionExhausted is raised instead of fabricating a valuation.
 
+Products and inverses go through one packed window kernel at every tower
+level, ``FieldCtx.window_mul`` and ``FieldCtx.window_inv``; their result
+coefficients sit at the highest level among the operand coefficients.
+
 All operations are pure given a FieldCtx snapshot; the single-writer rule
 of coeff_field applies when a root extraction extends the tower.
 """
@@ -40,10 +44,10 @@ class LaurentSeries:
             self.coeffs = ()
             self.prec = 0
             return
-        coeffs = tuple(
-            c if isinstance(c, FieldElem) else ctx.elem(c) for c in coeffs
-        )
-        if not _checked:
+        if not _checked:  # internal callers pass a tuple of FieldElems
+            coeffs = tuple(
+                c if isinstance(c, FieldElem) else ctx.elem(c) for c in coeffs
+            )
             if not coeffs:
                 raise ValueError("empty window; use zero() for the exact zero series")
             if ctx.is_zero(coeffs[0]):
@@ -138,9 +142,12 @@ def add(s: LaurentSeries, t: LaurentSeries) -> LaurentSeries:
     if t.is_zero:
         return s
     ctx = s.ctx
-    lo = min(s.val, t.val)
-    end = min(s.end, t.end)
-    out = [ctx.add(s.coeff_at(e), t.coeff_at(e)) for e in range(lo, end)]
+    lo, end = min(s.val, t.val), min(s.end, t.end)
+    first, second = (s, t) if s.val <= t.val else (t, s)
+    # below second.val only the first window contributes
+    split = min(second.val, end) - lo
+    out = list(first.coeffs[:split])
+    out += map(ctx.add, first.coeffs[split : end - lo], second.coeffs[: end - lo - split])
     k = 0
     while k < len(out) and ctx.is_zero(out[k]):
         k += 1
@@ -156,55 +163,18 @@ def add(s: LaurentSeries, t: LaurentSeries) -> LaurentSeries:
 def neg(s: LaurentSeries) -> LaurentSeries:
     if s.is_zero:
         return s
-    ctx = s.ctx
-    return LaurentSeries(
-        ctx, s.val, tuple(ctx.neg(c) for c in s.coeffs), _checked=True
-    )
+    return LaurentSeries(s.ctx, s.val, tuple(map(s.ctx.neg, s.coeffs)), _checked=True)
 
 
 def sub(s: LaurentSeries, t: LaurentSeries) -> LaurentSeries:
     return add(s, neg(t))
 
 
-def _raw_level0(s: LaurentSeries):
-    if all(c.level == 0 for c in s.coeffs):
-        return [c.coeffs[0] for c in s.coeffs]
-    return None
-
-
-def _nested_window(s: LaurentSeries, lvl: int):
-    ctx = s.ctx
-    return [ctx._lift_nested(c.level, lvl, ctx._nested(c)) for c in s.coeffs]
-
-
 def mul(s: LaurentSeries, t: LaurentSeries) -> LaurentSeries:
     if s.is_zero or t.is_zero:
         return zero(s.ctx)
     ctx = s.ctx
-    n = min(s.prec, t.prec)
-    ra, rb = _raw_level0(s), _raw_level0(t)
-    if ra is not None and rb is not None:
-        ell = ctx.ell
-        out = [0] * n
-        for i in range(min(n, len(ra))):
-            ai = ra[i]
-            if ai == 0:
-                continue
-            for j in range(min(n - i, len(rb))):
-                out[i + j] = (out[i + j] + ai * rb[j]) % ell
-        coeffs = tuple(ctx._l0[c] for c in out)
-    else:
-        lvl = max(max(c.level for c in s.coeffs), max(c.level for c in t.coeffs))
-        na, nb = _nested_window(s, lvl), _nested_window(t, lvl)
-        z = ctx._nzero(lvl)
-        out = [z] * n
-        for i in range(min(n, s.prec)):
-            ai = na[i]
-            if ctx._nis_zero(lvl, ai):
-                continue
-            for j in range(min(n - i, t.prec)):
-                out[i + j] = ctx._nadd(lvl, out[i + j], ctx._nmul(lvl, ai, nb[j]))
-        coeffs = tuple(ctx._wrap(lvl, v) for v in out)
+    coeffs = ctx.window_mul(s.coeffs, t.coeffs, min(s.prec, t.prec))
     # leading product of nonzero field elements is nonzero
     return LaurentSeries(ctx, s.val + t.val, coeffs, _checked=True)
 
@@ -229,33 +199,7 @@ def shift(s: LaurentSeries, k: int) -> LaurentSeries:
 def invert(s: LaurentSeries) -> LaurentSeries:
     if s.is_zero:
         raise ZeroInverse("exact zero has no inverse")
-    ctx = s.ctx
-    n = s.prec
-    raw = _raw_level0(s)
-    if raw is not None:
-        ell = ctx.ell
-        lead_inv = pow(raw[0], ell - 2, ell)
-        out = [lead_inv] + [0] * (n - 1)
-        for k in range(1, n):
-            acc = 0
-            for j in range(k):
-                acc += out[j] * raw[k - j]
-            out[k] = -lead_inv * acc % ell
-        return LaurentSeries(
-            ctx, -s.val, tuple(ctx._l0[c] for c in out), _checked=True
-        )
-    lvl = max(c.level for c in s.coeffs)
-    ns = _nested_window(s, lvl)
-    lead_inv = ctx._ninv(lvl, ns[0])
-    out = [lead_inv] + [ctx._nzero(lvl)] * (n - 1)
-    for k in range(1, n):
-        acc = ctx._nzero(lvl)
-        for j in range(k):
-            acc = ctx._nadd(lvl, acc, ctx._nmul(lvl, out[j], ns[k - j]))
-        out[k] = ctx._nneg(lvl, ctx._nmul(lvl, lead_inv, acc))
-    return LaurentSeries(
-        ctx, -s.val, tuple(ctx._wrap(lvl, v) for v in out), _checked=True
-    )
+    return LaurentSeries(s.ctx, -s.val, s.ctx.window_inv(s.coeffs), _checked=True)
 
 
 def power(s: LaurentSeries, n: int) -> LaurentSeries:

@@ -131,9 +131,13 @@ def classify_superelliptic(
     """Invariants of the degree-p cover y^p = f(x).
 
     Admissibility: every exponent in (0, p), exponent sum divisible by p
-    (infinity unramified), gcd of exponents 1 (else the cover is reducible,
-    reported as a warning).  The vector is the mod-p divisor, cross-checked
-    against the classification of the germ idele under the standard action.
+    (infinity unramified), gcd of exponents 1.  A gcd g > 1 is reported as
+    a warning: g is prime to p (a common factor p raises PthPower).  With
+    f = c h^g and g k = 1 mod p, f^k agrees with c^k h up to p-th powers,
+    so y^p = f is the same cover as that of a function with exponents
+    divided by g.
+    The vector is the mod-p divisor, cross-checked against the
+    classification of the germ idele under the standard action.
     """
     ctx = f.ctx
     if p != ctx.p:
@@ -159,7 +163,10 @@ def classify_superelliptic(
         for e in exps[1:]:
             g = gcd(g, e)
         if g != 1:
-            warns.append(f"gcd of exponents is {g}: the cover is reducible")
+            warns.append(
+                f"gcd of exponents is {g}, prime to {p}: the cover is the same as"
+                f" that of a function with exponents divided by {g}"
+            )
             warnings.warn(warns[-1])
     direct = adeles.ValuationVector(
         p, {pt: v for pt, v in divisor(f).items()}

@@ -139,6 +139,29 @@ def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--prec", "0", "classify", "--t", data_path("idele_z.json"), "--g", data_path("aut_standard.json")],
+        ["--prec", "-3", "pairing", "--a", "1", "--lam", "z^1*(1)", "--t", "z^1*(1 + 1*z)"],
+    ],
+)
+def test_non_positive_prec_is_a_usage_error(argv, capsys):
+    assert cli.main(["--p", "3", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "precision must be positive" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_adelic_prec_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("ADELIC_PREC", value)
+    assert cli.main(["--p", "3", "pairing", "--a", "1", "--lam", "z^1*(1)", "--t", "z^1*(1 + 1*z)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "precision must be positive" in captured.err
+    # an explicit --prec still wins over the environment
+    assert cli.main(["--p", "3", "--prec", "6", "product", "--a", '{"x0": 1}', "--b", "{}"]) == 0
+
+
 def test_selftest(capsys):
     code, body = run_cli(["--p", "3", "selftest"], capsys)
     assert code == 0

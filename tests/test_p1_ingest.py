@@ -110,7 +110,7 @@ def test_superelliptic_conjugate_pair(ctx):
     out = p1.classify_superelliptic(f, 3)
     assert out.vec.to_json() == {"2": 1, "3": 1, "4": 1}
     f2 = ratfun(ctx, {2: 2, 3: 2, 4: 2})
-    with pytest.warns(UserWarning):  # gcd 2: reducible, but still classified
+    with pytest.warns(UserWarning):  # gcd 2, prime to 3: f2 = f^2, the same cover
         out2 = p1.classify_superelliptic(f2, 3)
     assert out.cls == out2.cls  # b = 2 orbit
     assert out.vec != out2.vec
