@@ -176,9 +176,6 @@ class RamProfile:
         body = ", ".join(f"{pt.label}: {e}" for pt, e in sorted(self.entries.items()))
         return f"RamProfile(n={self.n}, {{{body}}})"
 
-    def locus(self) -> list[Point]:
-        return sorted(self.entries)
-
 
 # ----------------------------------------------------------------------
 # operations
@@ -221,10 +218,6 @@ def idele_pow(t: Idele, k: int) -> Idele:
         {pt: ls.power(s, k) for pt, s in t.exceptions.items()},
         ls.power(t.default, k),
     )
-
-
-def idele_inv(t: Idele) -> Idele:
-    return idele_pow(t, -1)
 
 
 def is_pth_power(t: Idele, p: int) -> bool:

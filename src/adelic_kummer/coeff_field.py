@@ -6,28 +6,30 @@ not a p-th power anywhere in the current tower, appends one extension
 step.  Elements remember the tower level they were created at; levels
 embed upward, so values created before an extension stay valid.
 
-Representation.  Level 0 elements are residues mod ell.  A step of degree
-d over level i-1 turns level-i elements into polynomials of degree < d in
-the step generator, with level-(i-1) coefficients; internally this is a
-nested tuple, externally a FieldElem exposes the flat coordinate vector
-over F_ell (tensor-product basis, lowest index first), whose length is
-the absolute degree of the level.
+Representation.  An element is its flat coordinate vector over F_ell,
+lowest index first, whose length is the absolute degree D of its level;
+the coordinate of basis monomial x1^e1 ... xL^eL (xi the generator of
+step i, ei < di, the step degrees) has index e1 + d1 (e2 + d2 (...)).  A
+lower level's coordinates are a prefix of its embedding, so mixed-level
+operands are zero-padded prefixes.  Inside the kernel a level-0 element is
+a bare int and a higher one a tuple of reduced coordinates.
 
-Packed series windows.  ``window_mul`` and ``window_inv`` treat a window
-of series coefficients as one Python int (Kronecker substitution; Harvey,
-arXiv:0712.4046), so one big-int product replaces the convolution.  The
-coordinate of basis monomial x1^e1 ... xL^eL (ei < di, the step degrees)
-of the coefficient of z^k goes to slot k*M + sum ei * prod_{j<i} (2dj - 1),
-with M = prod (2di - 1); level 0 is M = 1.  Exponent sums stay below
-2di - 1, so a product of two monomials lands in the sum of their slots,
-distinct exponent sums in distinct slots, and nothing carries into a
-neighbouring slot.  A lower level's coordinates are a prefix of its
-embedding, so mixed-level windows pack without ``embed``.  A product slot
-sums at most n*D products below ell^2 (n the window length, D the absolute
-degree), and reducing a slot group back to D coordinates is one more
-product, with the packed columns of the table of reduced monomials (column
-sums at most S), so slots are sized for n*D*(ell-1)^2*S and never overflow,
-whatever ell or n.
+One packed layout per level serves single elements and series windows.
+Coordinate t goes to slot sum ei * prod_{j<i} (2dj - 1) of
+M = prod (2di - 1) slots, and in a window of series coefficients the
+coefficient of z^k is shifted by k*M slots (Kronecker substitution;
+Harvey, arXiv:0712.4046).  Exponent sums stay below 2di - 1, so one
+big-int product puts the product of two monomials in the sum of their
+slots, and nothing carries into a neighbouring slot.  Column t of the
+level's table of reduced monomials, packed in reverse slot order, times a
+slot group holds coordinate t of the group's reduction in slot M - 1: a
+field product is one big-int product and D such reducer products, and an
+inverse solves the D x D multiplication matrix read by the same reducers.
+Level L's table comes from level L-1's products and the step polynomial.
+A product slot sums at most n*D products below ell^2 (n = 1 for an
+element, the window length for a window), and a reduced slot at most S
+times that (S the largest column sum of the table), so slots are sized
+for n*D*(ell-1)^2*S and never overflow, whatever ell or n.
 
 Canonical choices.  Roots of unity and p-th roots are picked as the
 lexicographically smallest candidate (on flat coordinates) at the minimal
@@ -44,8 +46,8 @@ import itertools
 import random
 import sys
 from array import array
-from math import gcd, prod
-from operator import attrgetter
+from math import gcd
+from operator import attrgetter, lshift
 
 from .errors import NotARootOfUnity, ZeroInput
 
@@ -133,6 +135,7 @@ _SLOT_CODES = (
 )
 _SLOT_WIDTHS = sorted(_SLOT_CODES)
 _level = attrgetter("level")
+_coeffs = attrgetter("coeffs")
 
 
 def _slot_width(bound: int) -> int:
@@ -167,18 +170,26 @@ def _int_to_slots(x: int, count: int, width: int, start: int = 0, stride: int = 
     ]
 
 
-class _WindowLayout:
-    """Packed-window slot layout of one tower level (see the module docstring).
+def _reverse_pack(col, bits: int) -> int:
+    """Pack ``col`` into slots of ``bits`` bits, its first entry highest."""
+    top = len(col) - 1
+    return sum(c << (bits * (top - m)) for m, c in enumerate(col))
 
-    A window is handled as a tuple of FieldElems, as columns (one list of
+
+class _WindowLayout:
+    """Slot layout and arithmetic kernel of one tower level above 0 (see
+    the module docstring).
+
+    The kernel's element values are tuples of D reduced coordinates.  A
+    window is handled as a tuple of FieldElems, as columns (one list of
     reduced ints per flat coordinate, indexed by z-power) or packed into
-    one int.  At level 0 (M = 1) slot placement and reduction are the
-    identity, and ``pack`` and ``reduce`` skip them.
+    one int.
     """
 
     __slots__ = (
-        "level", "ell", "l0", "dims", "slots", "offsets", "monomials", "term_bound",
-        "col_sum", "_table_cols", "_widths", "_reducers",
+        "level", "ell", "l0", "dims", "size", "zero", "one", "slots", "offsets", "table",
+        "monomials", "term_bound", "col_sum", "_table_cols", "_widths", "_reducers",
+        "_shifts", "_top", "_mask", "_red", "_red_shifts", "_row_shifts",
     )
 
     def __init__(self, level, dims, offsets, table, ell, l0):
@@ -186,16 +197,124 @@ class _WindowLayout:
         self.ell = ell
         self.l0 = l0  # the interned level-0 elements
         self.dims = dims  # absolute degree of every level up to this one
+        dim = dims[level]
+        self.size = ell**dim
+        self.zero = (0,) * dim
+        self.one = (1,) + (0,) * (dim - 1)
         self.slots = len(table)  # M
         self.offsets = offsets  # slot of each flat coordinate
+        self.table = table  # coordinates of the reduced monomial of every slot
         self.monomials = tuple(FieldElem(level, row) for row in table)
         # one product coefficient: D products below ell^2 in every slot
-        self.term_bound = dims[level] * (ell - 1) ** 2
+        self.term_bound = dim * (ell - 1) ** 2
         # _table_cols[t][m]: coordinate t of the reduced monomial of slot m
         self._table_cols = tuple(zip(*table))
         self.col_sum = max(map(sum, self._table_cols))
         self._widths: dict[int, int] = {}
         self._reducers: dict[int, tuple[int, ...]] = {}
+        # element slots of ``bits`` bits; packed 1 is the int 1 (offsets[0] = 0)
+        bits = (self.term_bound * self.col_sum).bit_length()
+        self._shifts = tuple(bits * off for off in offsets)
+        self._top = bits * (self.slots - 1)
+        self._mask = (1 << bits) - 1
+        self._red = tuple(_reverse_pack(col, bits) for col in self._table_cols)
+        self._red_shifts = tuple(zip(self._red, self._shifts))
+        self._row_shifts = tuple(self._top - s for s in self._shifts)
+
+    # -- elements ------------------------------------------------------
+
+    def value(self, a: FieldElem):
+        """The kernel value of a FieldElem at this level or below."""
+        c = a.coeffs
+        if len(c) != self.dims[a.level]:
+            raise ValueError("coefficient vector does not match its level degree")
+        if min(c) < 0 or max(c) >= self.ell:
+            c = tuple([x % self.ell for x in c])
+        return c if a.level == self.level else self.lift(c)
+
+    def lift(self, coords):
+        """The kernel value of reduced coordinates from this level or below."""
+        return tuple(coords) + (0,) * (len(self.zero) - len(coords))
+
+    def coords(self, x) -> tuple:
+        return x
+
+    def elem(self, x) -> FieldElem:
+        return FieldElem(self.level, x)
+
+    def add(self, x, y):
+        ell = self.ell
+        return tuple([(a + b) % ell for a, b in zip(x, y)])
+
+    def neg(self, x):
+        ell = self.ell
+        return tuple([-a % ell for a in x])
+
+    def scale(self, x, s: int):
+        ell = self.ell
+        return tuple([a * s % ell for a in x])
+
+    def encode(self, x) -> int:
+        return sum(map(lshift, x, self._shifts))
+
+    def decode(self, product: int) -> tuple:
+        """The reduced coordinates of a product of two encoded values."""
+        top, mask, ell = self._top, self._mask, self.ell
+        return tuple([(product * q >> top & mask) % ell for q in self._red])
+
+    def _mul_encoded(self, x: int, y: int) -> int:
+        product = x * y
+        top, mask, ell = self._top, self._mask, self.ell
+        return sum([(product * q >> top & mask) % ell << s for q, s in self._red_shifts])
+
+    def mul(self, x, y):
+        return self.decode(self.encode(x) * self.encode(y))
+
+    def pow(self, x, e: int):
+        """Square-and-multiply on encoded values."""
+        if e < 0:
+            x, e = self.inv(x), -e
+        base, acc = self.encode(x), 1
+        while e:
+            if e & 1:
+                acc = self._mul_encoded(acc, base)
+            e >>= 1
+            if e:
+                base = self._mul_encoded(base, base)
+        mask = self._mask
+        return tuple([acc >> s & mask for s in self._shifts])
+
+    def inv(self, x):
+        """Solve x * y = 1 over F_ell.  Column j of the multiplication
+        matrix of x reduces x times basis monomial j, whose encoding is x's
+        shifted by that monomial's slot, so row t of the matrix is read
+        from one product of x with reducer t."""
+        packed = self.encode(x)
+        if not packed:
+            raise ZeroDivisionError("inverse of zero in the coefficient tower")
+        mask, ell = self._mask, self.ell
+        dim = len(self._shifts)
+        rows = []
+        for q in self._red:
+            product = packed * q
+            rows.append([(product >> s & mask) % ell for s in self._row_shifts] + [0])
+        rows[0][-1] = 1
+        # Gauss-Jordan elimination; a nonzero x has an invertible matrix
+        for c in range(dim):
+            r = c
+            while not rows[r][c]:
+                r += 1
+            pivot = rows[r]
+            rows[r] = rows[c]
+            scale = pow(pivot[c], ell - 2, ell)
+            pivot = rows[c] = [v * scale % ell for v in pivot]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != c:
+                    rows[i] = [(v - f * w) % ell for v, w in zip(row, pivot)]
+        return tuple([row[dim] for row in rows])
+
+    # -- windows -------------------------------------------------------
 
     def slot_width(self, n: int) -> int:
         """Slot width of a product of windows of length n and its reduction."""
@@ -211,13 +330,9 @@ class _WindowLayout:
         red = self._reducers.get(width)
         if red is None:
             red = self._reducers[width] = tuple(
-                self.reverse_pack(col, width) for col in self._table_cols
+                _reverse_pack(col, 8 * width) for col in self._table_cols
             )
         return red
-
-    def reverse_pack(self, col, width: int) -> int:
-        bits, top = 8 * width, self.slots - 1
-        return sum(c << (bits * (top - m)) for m, c in enumerate(col))
 
     def columns(self, window) -> list[list[int]]:
         ell = self.ell
@@ -235,7 +350,7 @@ class _WindowLayout:
         # a lower level's coordinates are a prefix of its embedding
         if len(c.coeffs) != self.dims[c.level]:
             raise ValueError("coefficient vector does not match its level degree")
-        return c.coeffs + (0,) * (self.dims[self.level] - len(c.coeffs))
+        return self.lift(c.coeffs)
 
     def pack(self, columns, width: int) -> int:
         step = self.slots
@@ -270,15 +385,161 @@ class _WindowLayout:
         return tuple([FieldElem(level, c) for c in zip(*columns)])
 
 
-class _TowerStep:
-    """One extension step: a monic irreducible polynomial over the level below."""
+class _PrimeLayout(_WindowLayout):
+    """Level 0, where kernel values are bare ints with builtin ``pow``."""
 
-    __slots__ = ("degree", "poly", "abs_degree")
+    __slots__ = ()
 
-    def __init__(self, degree, poly, abs_degree):
-        self.degree = degree
-        self.poly = poly  # tuple of degree+1 nested coefficients, monic
-        self.abs_degree = abs_degree  # absolute degree of the new level
+    def __init__(self, ell, l0):
+        super().__init__(0, (1,), (0,), ((1,),), ell, l0)
+        self.zero, self.one = 0, 1
+
+    def value(self, a: FieldElem) -> int:
+        if len(a.coeffs) != 1:
+            raise ValueError("coefficient vector does not match its level degree")
+        return a.coeffs[0] % self.ell
+
+    def lift(self, coords) -> int:
+        return coords[0]
+
+    def coords(self, x) -> tuple:
+        return (x,)
+
+    def elem(self, x) -> FieldElem:
+        return self.l0[x]
+
+    def add(self, x, y):
+        return (x + y) % self.ell
+
+    def neg(self, x):
+        return -x % self.ell
+
+    def mul(self, x, y):
+        return x * y % self.ell
+
+    def pow(self, x, e: int):
+        return pow(x, e, self.ell)
+
+    def inv(self, x):
+        if not x:
+            raise ZeroDivisionError("inverse of zero in the coefficient tower")
+        return pow(x, self.ell - 2, self.ell)
+
+
+def _next_layout(below: _WindowLayout, poly) -> _WindowLayout:
+    """The layout of the level above ``below``, whose step polynomial
+    ``poly`` is monic with coefficients that are kernel values of ``below``.
+
+    The monomial of slot m + M' e (M' the slots of ``below``) is the
+    monomial of slot m below times x^e, x the new generator; x^e reduced by
+    ``poly`` has d coefficients from ``below``, and each times the lower
+    monomial is one product below.
+    """
+    d = len(poly) - 1
+    zero = below.zero
+    x_power = [below.one] + [zero] * (d - 1)
+    powers = []
+    for _ in range(2 * d - 1):
+        powers.append(x_power)
+        lead = x_power[-1]
+        x_power = [zero] + x_power[:-1]
+        if lead != zero:
+            x_power = [below.add(a, below.neg(below.mul(lead, c))) for a, c in zip(x_power, poly)]
+    lower = [below.lift(row) for row in below.table]
+    table = tuple(
+        tuple(t for c in power for t in below.coords(below.mul(mono, c)))
+        for power in powers
+        for mono in lower
+    )
+    offsets = tuple(off + below.slots * e for e in range(d) for off in below.offsets)
+    dims = below.dims + (below.dims[-1] * d,)
+    return _WindowLayout(below.level + 1, dims, offsets, table, below.ell, below.l0)
+
+
+# polynomials in X over one level, as lists of that level's kernel values,
+# lowest degree first ---------------------------------------------------
+
+
+def _ptrim(K, f):
+    while len(f) > 1 and f[-1] == K.zero:
+        f.pop()
+    return f
+
+
+def _psub(K, f, g):
+    z = K.zero
+    return [
+        K.add(f[i] if i < len(f) else z, K.neg(g[i]) if i < len(g) else z)
+        for i in range(max(len(f), len(g)))
+    ]
+
+
+def _pmul(K, f, g):
+    z = K.zero
+    out = [z] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x == z:
+            continue
+        for k, y in enumerate(g):
+            out[i + k] = K.add(out[i + k], K.mul(x, y))
+    return out
+
+
+def _pmod(K, f, g):
+    g = _ptrim(K, list(g))
+    lead_inv = K.inv(g[-1])
+    rem = list(f)
+    for k in range(len(rem) - len(g), -1, -1):
+        c = K.mul(rem[k + len(g) - 1], lead_inv)
+        if c == K.zero:
+            continue
+        for i, gc in enumerate(g):
+            rem[k + i] = K.add(rem[k + i], K.neg(K.mul(c, gc)))
+    return _ptrim(K, rem)
+
+
+def _pgcd(K, f, g):
+    a, b = _ptrim(K, list(f)), _ptrim(K, list(g))
+    while not (len(b) == 1 and b[0] == K.zero):
+        a, b = b, _pmod(K, a, b)
+    return a
+
+
+def _ppowmod(K, base, e: int, mod):
+    result = [K.one]
+    b = _pmod(K, list(base), mod)
+    while e:
+        if e & 1:
+            result = _pmod(K, _pmul(K, result, b), mod)
+        b = _pmod(K, _pmul(K, b, b), mod)
+        e >>= 1
+    return result
+
+
+def _is_irreducible(K, poly) -> bool:
+    """Rabin test: X^(q^d) = X mod f together with gcd(X^(q^(d/r)) - X, f)
+    = 1 for every prime r dividing d."""
+    f = _ptrim(K, list(poly))
+    d = len(f) - 1
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    q = K.size
+    x = [K.zero, K.one]
+    if _ptrim(K, _psub(K, _ppowmod(K, x, q**d, f), x)) != [K.zero]:
+        return False
+    for r in prime_factors(d):
+        h = _ptrim(K, _psub(K, _ppowmod(K, x, q ** (d // r), f), x))
+        if len(_pgcd(K, h, f)) != 1:
+            return False
+    return True
+
+
+def _has_order(K, x, m: int) -> bool:
+    if K.pow(x, m) != K.one:
+        return False
+    return all(K.pow(x, m // r) != K.one for r in prime_factors(m))
 
 
 class FieldCtx:
@@ -293,11 +554,12 @@ class FieldCtx:
             raise ValueError("the rank p must differ from the characteristic ell")
         self.ell = ell
         self.p = p
-        self._steps: list[_TowerStep] = []
+        # step polynomials, monic, as flat coordinate tuples of the level below
+        self._steps: list[tuple[tuple[int, ...], ...]] = []
         self._unity_cache: dict[int, FieldElem] = {}
         self._sylow_cache: dict[tuple[int, int], tuple] = {}
         self._l0 = tuple(FieldElem(0, (x,)) for x in range(ell))
-        self._layouts: dict[int, _WindowLayout] = {}
+        self._layouts: list[_WindowLayout] = [_PrimeLayout(ell, self._l0)]
         self.zeta: FieldElem | None = None
 
     # ------------------------------------------------------------------
@@ -309,247 +571,26 @@ class FieldCtx:
         return len(self._steps) + 1
 
     def abs_degree(self, level: int) -> int:
-        return 1 if level == 0 else self._steps[level - 1].abs_degree
+        return self._layouts[level].dims[level]
 
     def level_size(self, level: int) -> int:
         return self.ell ** self.abs_degree(level)
 
     def tower_polys(self) -> list[tuple[FieldElem, ...]]:
         """Step polynomials as FieldElem coefficient tuples (low degree first)."""
-        out = []
-        for i, step in enumerate(self._steps):
-            out.append(
-                tuple(FieldElem(i, self._flatten(i, c)) for c in step.poly)
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # nested representation plumbing
-
-    def _nzero(self, level):
-        if level == 0:
-            return 0
-        d = self._steps[level - 1].degree
-        below = self._nzero(level - 1)
-        return tuple(below for _ in range(d))
-
-    def _none(self, level):
-        if level == 0:
-            return 1
-        d = self._steps[level - 1].degree
-        return (self._none(level - 1),) + tuple(
-            self._nzero(level - 1) for _ in range(d - 1)
-        )
-
-    def _nis_zero(self, level, a):
-        if level == 0:
-            return a == 0
-        return all(self._nis_zero(level - 1, c) for c in a)
-
-    def _nadd(self, level, a, b):
-        if level == 0:
-            return (a + b) % self.ell
-        return tuple(self._nadd(level - 1, x, y) for x, y in zip(a, b))
-
-    def _nneg(self, level, a):
-        if level == 0:
-            return (-a) % self.ell
-        return tuple(self._nneg(level - 1, x) for x in a)
-
-    def _nmul(self, level, a, b):
-        if level == 0:
-            return a * b % self.ell
-        d = self._steps[level - 1].degree
-        below = level - 1
-        zero = self._nzero(below)
-        prod = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if self._nis_zero(below, x):
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = self._nadd(below, prod[i + j], self._nmul(below, x, y))
-        # reduce modulo the monic step polynomial
-        poly = self._steps[level - 1].poly
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if self._nis_zero(below, c):
-                continue
-            for j in range(d):
-                prod[k - d + j] = self._nadd(
-                    below, prod[k - d + j], self._nneg(below, self._nmul(below, c, poly[j]))
-                )
-            prod[k] = zero
-        return tuple(prod[:d])
-
-    def _npow(self, level, a, e: int):
-        if level == 0:
-            return pow(a, e, self.ell)
-        if e < 0:
-            return self._npow(level, self._ninv(level, a), -e)
-        result = self._none(level)
-        base = a
-        while e:
-            if e & 1:
-                result = self._nmul(level, result, base)
-            base = self._nmul(level, base, base)
-            e >>= 1
-        return result
-
-    def _ninv(self, level, a):
-        if self._nis_zero(level, a):
-            raise ZeroDivisionError("inverse of zero in the coefficient tower")
-        if level == 0:
-            return pow(a, self.ell - 2, self.ell)
-        below = level - 1
-        # extended Euclid in (level-1)[X] between a (deg < d) and the step poly
-        f = list(self._steps[level - 1].poly)
-        g = self._ptrim(below, list(a))
-        r0, r1 = f, g
-        s0, s1 = [self._nzero(below)], [self._none(below)]
-        while True:
-            if len(r1) == 1:
-                c_inv = self._ninv(below, r1[0])
-                inv = [self._nmul(below, c_inv, c) for c in s1]
-                break
-            q, r = self._pdivmod(below, r0, r1)
-            r0, r1 = r1, self._ptrim(below, r)
-            s0, s1 = s1, self._ptrim(below, self._psub(below, s0, self._pmul(below, q, s1)))
-        d = self._steps[level - 1].degree
-        inv = inv + [self._nzero(below)] * (d - len(inv))
-        return tuple(inv[:d])
-
-    # polynomial helpers over nested level-j coefficients ----------------
-
-    def _ptrim(self, j, f):
-        while len(f) > 1 and self._nis_zero(j, f[-1]):
-            f.pop()
-        return f
-
-    def _padd(self, j, f, g):
-        n = max(len(f), len(g))
-        z = self._nzero(j)
         return [
-            self._nadd(j, f[i] if i < len(f) else z, g[i] if i < len(g) else z)
-            for i in range(n)
+            tuple(FieldElem(i, c) for c in poly) for i, poly in enumerate(self._steps)
         ]
 
-    def _psub(self, j, f, g):
-        return self._padd(j, f, [self._nneg(j, c) for c in g])
-
-    def _pmul(self, j, f, g):
-        z = self._nzero(j)
-        out = [z] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if self._nis_zero(j, x):
-                continue
-            for k, y in enumerate(g):
-                out[i + k] = self._nadd(j, out[i + k], self._nmul(j, x, y))
-        return out
-
-    def _pdivmod(self, j, f, g):
-        g = self._ptrim(j, list(g))
-        lead_inv = self._ninv(j, g[-1])
-        rem = list(f)
-        z = self._nzero(j)
-        if len(rem) < len(g):
-            return [z], rem
-        quo = [z] * (len(rem) - len(g) + 1)
-        for k in range(len(rem) - len(g), -1, -1):
-            c = self._nmul(j, rem[k + len(g) - 1], lead_inv)
-            if self._nis_zero(j, c):
-                continue
-            quo[k] = c
-            for i, gc in enumerate(g):
-                rem[k + i] = self._nadd(j, rem[k + i], self._nneg(j, self._nmul(j, c, gc)))
-        return quo, self._ptrim(j, rem)
-
-    def _pmod(self, j, f, g):
-        return self._pdivmod(j, f, g)[1]
-
-    def _pgcd(self, j, f, g):
-        a, b = self._ptrim(j, list(f)), self._ptrim(j, list(g))
-        while not (len(b) == 1 and self._nis_zero(j, b[0])):
-            a, b = b, self._pmod(j, a, b)
-        # make monic
-        if not self._nis_zero(j, a[-1]):
-            inv = self._ninv(j, a[-1])
-            a = [self._nmul(j, inv, c) for c in a]
-        return a
-
-    def _ppowmod(self, j, base, e: int, mod):
-        result = [self._none(j)]
-        b = self._pmod(j, list(base), mod)
-        while e:
-            if e & 1:
-                result = self._pmod(j, self._pmul(j, result, b), mod)
-            b = self._pmod(j, self._pmul(j, b, b), mod)
-            e >>= 1
-        return result
-
     def poly_is_irreducible(self, level: int, poly) -> bool:
-        """Rabin test for a monic polynomial with level-``level`` coefficients.
+        """Rabin test for a monic polynomial whose FieldElem coefficients lie
+        at ``level`` or below.
 
         Checks X^(q^d) = X mod f together with gcd(X^(q^(d/r)) - X, f) = 1
         for every prime r dividing d.
         """
-        f = self._ptrim(level, list(poly))
-        d = len(f) - 1
-        if d <= 0:
-            return False
-        if d == 1:
-            return True
-        q = self.level_size(level)
-        x = [self._nzero(level), self._none(level)]
-        xq = self._ppowmod(level, x, q**d, f)
-        if self._ptrim(level, self._psub(level, xq, x)) != [self._nzero(level)]:
-            return False
-        for r in prime_factors(d):
-            h = self._ppowmod(level, x, q ** (d // r), f)
-            h = self._ptrim(level, self._psub(level, h, x))
-            g = self._pgcd(level, h, f)
-            if len(g) != 1:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # flat <-> nested
-
-    def _unflatten(self, level, flat):
-        if level == 0:
-            return flat[0] % self.ell
-        d = self._steps[level - 1].degree
-        sub = self.abs_degree(level - 1)
-        return tuple(
-            self._unflatten(level - 1, flat[k * sub : (k + 1) * sub]) for k in range(d)
-        )
-
-    def _flatten(self, level, nested):
-        if level == 0:
-            return (nested,)
-        out = []
-        for c in nested:
-            out.extend(self._flatten(level - 1, c))
-        return tuple(out)
-
-    def _nested(self, a: FieldElem):
-        if len(a.coeffs) != self.abs_degree(a.level):
-            raise ValueError("coefficient vector does not match its level degree")
-        return self._unflatten(a.level, a.coeffs)
-
-    def _wrap(self, level, nested) -> FieldElem:
-        return FieldElem(level, self._flatten(level, nested))
-
-    def _lift_nested(self, from_level, to_level, nested):
-        for lvl in range(from_level + 1, to_level + 1):
-            d = self._steps[lvl - 1].degree
-            nested = (nested,) + tuple(self._nzero(lvl - 1) for _ in range(d - 1))
-        return nested
-
-    def _common(self, a: FieldElem, b: FieldElem):
-        lvl = max(a.level, b.level)
-        na = self._lift_nested(a.level, lvl, self._nested(a))
-        nb = self._lift_nested(b.level, lvl, self._nested(b))
-        return lvl, na, nb
+        lay = self._layouts[level]
+        return _is_irreducible(lay, [lay.value(c) for c in poly])
 
     # ------------------------------------------------------------------
     # public element arithmetic
@@ -566,11 +607,15 @@ class FieldCtx:
     def is_zero(self, a: FieldElem) -> bool:
         return all(c == 0 for c in a.coeffs)
 
+    def _operands(self, a: FieldElem, b: FieldElem):
+        lay = self._layouts[max(a.level, b.level)]
+        return lay, lay.value(a), lay.value(b)
+
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if a.level == 0 and b.level == 0:
             return self._l0[(a.coeffs[0] + b.coeffs[0]) % self.ell]
-        lvl, na, nb = self._common(a, b)
-        return self._wrap(lvl, self._nadd(lvl, na, nb))
+        lay, x, y = self._operands(a, b)
+        return lay.elem(lay.add(x, y))
 
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.add(a, self.neg(b))
@@ -578,20 +623,27 @@ class FieldCtx:
     def neg(self, a: FieldElem) -> FieldElem:
         if a.level == 0:
             return self._l0[-a.coeffs[0] % self.ell]
-        return self._wrap(a.level, self._nneg(a.level, self._nested(a)))
+        lay = self._layouts[a.level]
+        return lay.elem(lay.neg(lay.value(a)))
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if a.level == 0 and b.level == 0:
             return self._l0[a.coeffs[0] * b.coeffs[0] % self.ell]
-        lvl, na, nb = self._common(a, b)
-        return self._wrap(lvl, self._nmul(lvl, na, nb))
+        if a.level == 0 or b.level == 0:
+            # an F_ell scalar times the coordinates of the other operand
+            scalar, a = (a, b) if a.level == 0 else (b, a)
+            lay = self._layouts[a.level]
+            return lay.elem(lay.scale(lay.value(a), self._layouts[0].value(scalar)))
+        lay, x, y = self._operands(a, b)
+        return lay.elem(lay.mul(x, y))
 
     def inv(self, a: FieldElem) -> FieldElem:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the coefficient tower")
         if a.level == 0:
             return self._l0[pow(a.coeffs[0], self.ell - 2, self.ell)]
-        return self._wrap(a.level, self._ninv(a.level, self._nested(a)))
+        lay = self._layouts[a.level]
+        return lay.elem(lay.inv(lay.value(a)))
 
     def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.mul(a, self.inv(b))
@@ -599,31 +651,30 @@ class FieldCtx:
     def pow(self, a: FieldElem, e: int) -> FieldElem:
         if a.level == 0:
             return self._l0[pow(a.coeffs[0], e, self.ell)]
-        return self._wrap(a.level, self._npow(a.level, self._nested(a), e))
+        lay = self._layouts[a.level]
+        return lay.elem(lay.pow(lay.value(a), e))
 
     def eq(self, a: FieldElem, b: FieldElem) -> bool:
         if a.level == b.level:
             return a.coeffs == b.coeffs
-        lvl, na, nb = self._common(a, b)
-        return na == nb
+        _, x, y = self._operands(a, b)
+        return x == y
 
     def embed(self, a: FieldElem, level: int) -> FieldElem:
         if level < a.level:
             raise ValueError("cannot embed downward; use project")
-        return self._wrap(level, self._lift_nested(a.level, level, self._nested(a)))
+        lay = self._layouts[level]
+        return lay.elem(lay.value(a))
 
     def project(self, a: FieldElem) -> FieldElem:
         """Equal element at the lowest level that can represent it."""
+        lay = self._layouts[a.level]
+        flat = lay.coords(lay.value(a))
         lvl = a.level
-        nested = self._nested(a)
-        while lvl > 0:
-            below = lvl - 1
-            if all(self._nis_zero(below, c) for c in nested[1:]):
-                nested = nested[0]
-                lvl = below
-            else:
-                break
-        return self._wrap(lvl, nested)
+        while lvl > 0 and not any(flat[lay.dims[lvl - 1] :]):
+            lvl -= 1
+        low = self._layouts[lvl]
+        return low.elem(low.lift(flat[: lay.dims[lvl]]))
 
     def inv_int(self, n: int) -> FieldElem:
         """1/n in F_ell; n must be prime to ell."""
@@ -641,7 +692,7 @@ class FieldCtx:
         The windows are read as polynomials in z, lowest power first.  The
         result is at the highest level of any coefficient of either window.
         """
-        lay = self._window_layout(max(max(map(_level, a)), max(map(_level, b))))
+        lay = self._layouts[max(max(map(_level, a)), max(map(_level, b)))]
         width = lay.slot_width(n)
         packed = lay.pack(lay.columns(a[:n]), width) * lay.pack(lay.columns(b[:n]), width)
         return lay.wrap(lay.reduce(packed, n, width))
@@ -656,7 +707,7 @@ class FieldCtx:
         is at the highest level in ``a``.
         """
         n = len(a)
-        lay = self._window_layout(max(map(_level, a)))
+        lay = self._layouts[max(map(_level, a))]
         lead_inv = self.inv(a[0])
         # coordinates of lead_inv * x^m for every slot monomial (just 1 at level 0)
         scaled = lay.columns(
@@ -670,7 +721,7 @@ class FieldCtx:
         ell = self.ell
         out = [col[:1] for col in scaled]  # w_0 = lead_inv
         place = [
-            (lay.reverse_pack(col, width), bits * off, dest)
+            (_reverse_pack(col, bits), bits * off, dest)
             for col, off, dest in zip(scaled, lay.offsets, out)
         ]
         packed = lay.pack(lay.columns(a), width)
@@ -686,37 +737,8 @@ class FieldCtx:
         return lay.wrap(out)
 
     def _window_layout(self, level: int) -> _WindowLayout:
-        """The slot layout of a level, built on first use (an idempotent fill,
-        so concurrent readers stay safe)."""
-        lay = self._layouts.get(level)
-        if lay is None:
-            degrees = [step.degree for step in self._steps[:level]]
-            radices = [2 * d - 1 for d in degrees]
-            offsets = []
-            for t in range(self.abs_degree(level)):
-                slot, scale = 0, 1
-                for d, r in zip(degrees, radices):
-                    t, e = divmod(t, d)
-                    slot += e * scale
-                    scale *= r
-                offsets.append(slot)
-            gens = [
-                self._lift_nested(
-                    i, level, (self._nzero(i - 1), self._none(i - 1)) + (self._nzero(i - 1),) * (d - 2)
-                )
-                for i, d in enumerate(degrees, 1)
-            ]
-            table = []
-            for m in range(prod(radices)):
-                mono = self._none(level)
-                for gen, r in zip(gens, radices):
-                    m, e = divmod(m, r)
-                    mono = self._nmul(level, mono, self._npow(level, gen, e))
-                table.append(self._flatten(level, mono))
-            dims = tuple(self.abs_degree(i) for i in range(level + 1))
-            lay = _WindowLayout(level, dims, tuple(offsets), table, self.ell, self._l0)
-            self._layouts[level] = lay
-        return lay
+        """The slot layout and kernel of a level."""
+        return self._layouts[level]
 
     # ------------------------------------------------------------------
     # enumeration and canonical choices
@@ -726,44 +748,27 @@ class FieldCtx:
         for flat in itertools.product(range(self.ell), repeat=self.abs_degree(level)):
             yield FieldElem(level, flat)
 
-    def _smallest(self, candidates):
-        best = None
-        for c in candidates:
-            if best is None or c.coeffs < best.coeffs:
-                best = c
-        return best
-
-    def _has_order(self, level, nested, m: int) -> bool:
-        if self._nis_zero(level, nested):
-            return False
-        if self._npow(level, nested, m) != self._none(level):
-            return False
-        for r in prime_factors(m):
-            if self._npow(level, nested, m // r) == self._none(level):
-                return False
-        return True
-
     def _random_irreducible(self, level: int, degree: int):
         """Monic irreducible step polynomial by seeded random trial."""
         rng = random.Random(f"tower:{self.ell}:{self.p}:{level}:{degree}")
+        lay = self._layouts[level]
         sub = self.abs_degree(level)
         while True:
-            flat_coeffs = [
-                tuple(rng.randrange(self.ell) for _ in range(sub)) for _ in range(degree)
+            poly = [
+                lay.lift(tuple(rng.randrange(self.ell) for _ in range(sub))) for _ in range(degree)
             ]
-            poly = [self._unflatten(level, fc) for fc in flat_coeffs]
-            poly.append(self._none(level))
-            if self._nis_zero(level, poly[0]):
+            poly.append(lay.one)
+            if poly[0] == lay.zero:
                 continue
-            if self.poly_is_irreducible(level, poly):
-                return tuple(poly)
+            if _is_irreducible(lay, poly):
+                return poly
 
-    def _append_step(self, poly_nested):
-        level = self.levels - 1
-        degree = len(poly_nested) - 1
-        self._steps.append(
-            _TowerStep(degree, tuple(poly_nested), self.abs_degree(level) * degree)
-        )
+    def _append_step(self, poly):
+        """Extend the tower by a monic irreducible polynomial whose
+        coefficients are kernel values of the top level."""
+        below = self._layouts[-1]
+        self._steps.append(tuple(below.coords(c) for c in poly))
+        self._layouts.append(_next_layout(below, poly))
         return self.levels - 1
 
     def ensure_root_of_unity(self, m: int) -> FieldElem:
@@ -790,8 +795,9 @@ class FieldCtx:
             deg = multiplicative_order(self.level_size(top), m)
             poly = self._random_irreducible(top, deg)
             level = self._append_step(poly)
+        lay = self._layouts[level]
         for cand in self.elements(level):
-            if self._has_order(level, self._nested(cand), m):
+            if _has_order(lay, lay.value(cand), m):
                 self._unity_cache[m] = cand
                 return cand
         raise AssertionError("order-m element must exist once m | q - 1")
@@ -822,55 +828,53 @@ class FieldCtx:
         key = (level, r)
         if key in self._sylow_cache:
             return self._sylow_cache[key]
-        q = self.level_size(level)
+        lay = self._layouts[level]
+        q = lay.size
         t, s = q - 1, 0
         while t % r == 0:
             t //= r
             s += 1
         rng = random.Random(f"amm:{self.ell}:{self.p}:{level}:{r}")
         sub = self.abs_degree(level)
-        one = self._none(level)
         while True:
-            flat = tuple(rng.randrange(self.ell) for _ in range(sub))
-            rho = self._unflatten(level, flat)
-            if self._nis_zero(level, rho):
+            rho = lay.lift(tuple(rng.randrange(self.ell) for _ in range(sub)))
+            if rho == lay.zero:
                 continue
-            if self._npow(level, rho, (q - 1) // r) != one:
-                eta = self._npow(level, rho, t)
+            if lay.pow(rho, (q - 1) // r) != lay.one:
+                eta = lay.pow(rho, t)
                 break
-        gamma = self._npow(level, eta, r ** (s - 1))  # order r
+        gamma = lay.pow(eta, r ** (s - 1))  # order r
         self._sylow_cache[key] = (eta, gamma, t, s)
         return eta, gamma, t, s
 
-    def _prime_root_in_level(self, level: int, nested, r: int):
-        """An r-th root of ``nested`` at ``level``; requires r | q-1 and the
-        r-th-power test to have passed.  Adleman-Manders-Miller descent."""
-        q = self.level_size(level)
+    def _prime_root_in_level(self, level: int, x, r: int):
+        """An r-th root of the kernel value ``x`` at ``level``; requires
+        r | q-1 and the r-th-power test to have passed.
+        Adleman-Manders-Miller descent."""
+        lay = self._layouts[level]
+        q = lay.size
         eta, gamma, t, s = self._sylow_data(level, r)
-        one = self._none(level)
         # Pohlig-Hellman digits of c with eta^c = a^t
-        u = self._npow(level, nested, t)
+        u = lay.pow(x, t)
         c = 0
         for j in range(s):
-            w = self._nmul(level, u, self._npow(level, eta, (-c) % (q - 1)))
-            w = self._npow(level, w, r ** (s - 1 - j))
-            acc = one
+            w = lay.mul(u, lay.pow(eta, (-c) % (q - 1)))
+            w = lay.pow(w, r ** (s - 1 - j))
+            acc = lay.one
             for digit in range(r):
                 if acc == w:
                     c += digit * r**j
                     break
-                acc = self._nmul(level, acc, gamma)
+                acc = lay.mul(acc, gamma)
             else:
                 raise AssertionError("Pohlig-Hellman digit search failed")
         if c % r != 0:
             raise AssertionError("element is not an r-th power despite passing the test")
-        v = self._npow(level, eta, c // r)
+        v = lay.pow(eta, c // r)
         e1 = pow(r, -1, t) if t > 1 else 0
         mte = (e1 * r - 1) // t
-        root = self._nmul(
-            level, self._npow(level, nested, e1), self._npow(level, v, (-mte) % (q - 1))
-        )
-        assert self._npow(level, root, r) == nested
+        root = lay.mul(lay.pow(x, e1), lay.pow(v, (-mte) % (q - 1)))
+        assert lay.pow(root, r) == x
         return root, gamma
 
     def nth_root(self, a: FieldElem, n: int) -> FieldElem:
@@ -903,38 +907,33 @@ class FieldCtx:
         if r % self.ell == 0:
             raise ValueError("root order divisible by the characteristic")
         for level in range(a.level, self.levels):
-            q = self.level_size(level)
-            nested = self._lift_nested(a.level, level, self._nested(a))
+            lay = self._layouts[level]
+            q = lay.size
+            x = lay.value(a)
             if (q - 1) % r != 0:
                 # x -> x^r is a bijection; the unique root is a^(r^-1 mod q-1)
-                return self._wrap(level, self._npow(level, nested, pow(r, -1, q - 1)))
-            if self._npow(level, nested, (q - 1) // r) == self._none(level):
-                root, gamma = self._prime_root_in_level(level, nested, r)
+                return lay.elem(lay.pow(x, pow(r, -1, q - 1)))
+            if lay.pow(x, (q - 1) // r) == lay.one:
+                root, gamma = self._prime_root_in_level(level, x, r)
                 cands = []
-                w = self._none(level)
+                w = lay.one
                 for _ in range(r):
-                    cands.append(self._wrap(level, self._nmul(level, root, w)))
-                    w = self._nmul(level, w, gamma)
-                return self._smallest(cands)
+                    cands.append(lay.elem(lay.mul(root, w)))
+                    w = lay.mul(w, gamma)
+                return min(cands, key=_coeffs)
         # not an r-th power anywhere in the tower: X^r - a is irreducible
         # over the top level (r prime), so one degree-r step suffices
-        top = self.levels - 1
-        a_top = self._lift_nested(a.level, top, self._nested(a))
-        poly = [self._nneg(top, a_top)]
-        poly.extend(self._nzero(top) for _ in range(r - 1))
-        poly.append(self._none(top))
-        new_level = self._append_step(tuple(poly))
-        gen = (self._nzero(top), self._none(top)) + tuple(
-            self._nzero(top) for _ in range(r - 2)
-        )
-        w_top = self._sylow_data(top, r)[1]  # an element of order r
-        w = self._lift_nested(top, new_level, w_top)
+        top = self._layouts[-1]
+        poly = [top.neg(top.value(a))] + [top.zero] * (r - 1) + [top.one]
+        lay = self._layouts[self._append_step(poly)]
+        gen = lay.lift((0,) * top.dims[-1] + (1,))  # the new generator X
+        w = lay.lift(top.coords(self._sylow_data(top.level, r)[1]))  # an element of order r
         cands = []
-        acc = self._none(new_level)
+        acc = lay.one
         for _ in range(r):
-            cands.append(self._wrap(new_level, self._nmul(new_level, gen, acc)))
-            acc = self._nmul(new_level, acc, w)
-        return self._smallest(cands)
+            cands.append(lay.elem(lay.mul(gen, acc)))
+            acc = lay.mul(acc, w)
+        return min(cands, key=_coeffs)
 
     # ------------------------------------------------------------------
     # serialization
@@ -953,8 +952,8 @@ class FieldCtx:
         ctx = cls(data["ell"], data["p"])
         for i, poly_texts in enumerate(data["tower"]):
             coeffs = [elem_from_text(t) for t in poly_texts]
-            nested = [ctx._nested(c) for c in coeffs]
-            if not ctx.poly_is_irreducible(i, nested):
+            if not ctx.poly_is_irreducible(i, coeffs):
                 raise ValueError(f"tower step {i} is not irreducible")
-            ctx._append_step(tuple(nested))
+            lay = ctx._layouts[i]
+            ctx._append_step([lay.value(c) for c in coeffs])
         return ctx

@@ -173,9 +173,6 @@ class Character:
         self.s = s % p
         self.p = p
 
-    def exponent_on_power(self, k: int) -> int:
-        return (self.s * k) % self.p
-
 
 class RamTuple:
     """Invariant tuple over the ramified points, entries in (Z/(p))*."""

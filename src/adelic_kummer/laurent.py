@@ -214,8 +214,9 @@ def power(s: LaurentSeries, n: int) -> LaurentSeries:
     while n:
         if n & 1:
             result = mul(result, base)
-        base = mul(base, base)
         n >>= 1
+        if n:
+            base = mul(base, base)
     return result
 
 
