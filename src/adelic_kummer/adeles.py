@@ -40,9 +40,6 @@ class Point:
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
-    def __le__(self, other):
-        return self.sort_key <= other.sort_key
-
     def __repr__(self):
         return f"Point({self.label!r})"
 
@@ -229,7 +226,7 @@ def pth_power_witness(t: Idele, p: int) -> Idele:
     """A componentwise p-th root (z-power division plus Hensel lifting);
     only meaningful when is_pth_power(t, p) holds."""
     return Idele(
-        {pt: ls.pth_root_series(s, p) for pt, s in t.exceptions.items()},
+        {pt: ls.nth_root_series(s, p) for pt, s in t.exceptions.items()},
         ls.hensel_pth_root(t.default, p),
     )
 

@@ -205,7 +205,7 @@ def run(args) -> dict:
         G2 = _subgroup(_read_json(args.g2), p)
         phi = gg.construct_conjugation(G1, G2, t, gg.Character(args.s, p))
         rng = random.Random(0)
-        samples = [_random_sample(ctx, t, p, rng) for _ in range(3)]
+        samples = [gg.random_sample(t, p, rng) for _ in range(3)]
         verified = gg.verify_conjugation(phi, G1, G2, t, samples)
         out = {"verdict": True, "verified": verified}
         out.update(phi.to_json())
@@ -227,25 +227,6 @@ def run(args) -> dict:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _random_sample(ctx, t, p, rng, prec=6):
-    parts = {}
-    for pt in adeles.ram_locus(t, p):
-        data = tuple(
-            ls.series(
-                ctx,
-                rng.randrange(-1, 2),
-                [rng.randrange(1, ctx.ell)] + [rng.randrange(ctx.ell) for _ in range(prec - 1)],
-            )
-            for _ in range(p)
-        )
-        parts[pt] = gg.LocalPart("ram", data)
-    default = gg.LocalPart(
-        "split",
-        tuple(ls.constant(ctx, ctx.elem(rng.randrange(1, ctx.ell)), prec) for _ in range(p)),
-    )
-    return gg.AlgebraElement(p, parts, default)
-
-
 def selftest(ctx: FieldCtx, prec: int) -> dict:
     """Deterministic cross-checks of the main invariants."""
     p = ctx.p
@@ -261,7 +242,7 @@ def selftest(ctx: FieldCtx, prec: int) -> dict:
     ok = True
     for _ in range(20):
         a = ctx.elem(rng.randrange(1, ctx.ell))
-        ok = ok and ctx.eq(ctx.pow(ctx.pth_root(a), p), a)
+        ok = ok and ctx.eq(ctx.pow(ctx.nth_root(a, p), p), a)
     check("tower_roots", ok)
 
     ok = True
@@ -307,7 +288,7 @@ def selftest(ctx: FieldCtx, prec: int) -> dict:
         try:
             phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
             built = gg.verify_conjugation(
-                phi, G1, G2, t, [_random_sample(ctx, t, p, rng)]
+                phi, G1, G2, t, [gg.random_sample(t, p, rng)]
             )
         except AdelicError:
             built = False

@@ -418,6 +418,8 @@ class _PrimeLayout(_WindowLayout):
         return x * y % self.ell
 
     def pow(self, x, e: int):
+        if e < 0 and not x % self.ell:
+            raise ZeroDivisionError("inverse of zero in the coefficient tower")
         return pow(x, e, self.ell)
 
     def inv(self, x):
@@ -604,6 +606,15 @@ class FieldCtx:
     def one(self) -> FieldElem:
         return self._l0[1]
 
+    def elem_from_text(self, text: str) -> FieldElem:
+        """Parse an ``L<k>:[...]`` literal that names a level of this tower
+        and carries that level's number of coordinates."""
+        a = elem_from_text(text)
+        dims = self._layouts[-1].dims
+        if not (0 <= a.level < len(dims) and len(a.coeffs) == dims[a.level]):
+            raise ValueError(f"{text.strip()!r} is not in the tower of absolute degrees {list(dims)}")
+        return a
+
     def is_zero(self, a: FieldElem) -> bool:
         return all(c == 0 for c in a.coeffs)
 
@@ -650,7 +661,7 @@ class FieldCtx:
 
     def pow(self, a: FieldElem, e: int) -> FieldElem:
         if a.level == 0:
-            return self._l0[pow(a.coeffs[0], e, self.ell)]
+            return self._l0[self._layouts[0].pow(a.coeffs[0], e)]
         lay = self._layouts[a.level]
         return lay.elem(lay.pow(lay.value(a), e))
 
@@ -897,12 +908,6 @@ class FieldCtx:
                 result = self._prime_root(result, r)
         return result
 
-    def pth_root(self, a: FieldElem) -> FieldElem:
-        """Canonical p-th root of a nonzero element (p = ctx.p)."""
-        if self.is_zero(a):
-            raise ZeroInput("0 has no canonical p-th root")
-        return self._prime_root(a, self.p)
-
     def _prime_root(self, a: FieldElem, r: int):
         if r % self.ell == 0:
             raise ValueError("root order divisible by the characteristic")
@@ -951,7 +956,7 @@ class FieldCtx:
     def from_json(cls, data: dict) -> "FieldCtx":
         ctx = cls(data["ell"], data["p"])
         for i, poly_texts in enumerate(data["tower"]):
-            coeffs = [elem_from_text(t) for t in poly_texts]
+            coeffs = [ctx.elem_from_text(t) for t in poly_texts]
             if not ctx.poly_is_irreducible(i, coeffs):
                 raise ValueError(f"tower step {i} is not irreducible")
             lay = ctx._layouts[i]

@@ -205,40 +205,7 @@ class RamTuple:
 
 
 # ----------------------------------------------------------------------
-# algebra elements (finite support, split coordinates at unlisted points)
-
-
-class LocalPart:
-    """Element of one local algebra: T-polynomial coefficients at a
-    ramified point, or split coordinates elsewhere.  Entries are series,
-    possibly exact zero (algebra elements need not be invertible)."""
-
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind, data):
-        self.kind = kind  # "ram" | "split"
-        self.data = tuple(data)
-
-    def add(self, other: "LocalPart") -> "LocalPart":
-        assert self.kind == other.kind
-        return LocalPart(
-            self.kind, tuple(ls.add(a, b) for a, b in zip(self.data, other.data))
-        )
-
-    def scale(self, c) -> "LocalPart":
-        return LocalPart(self.kind, tuple(ls.scale(s, c) for s in self.data))
-
-    def apply(self, aut: la.LocalAutomorphism, ctx: FieldCtx | None = None) -> "LocalPart":
-        if self.kind == "ram":
-            assert aut.kind == "ram"
-            return LocalPart("ram", aut.apply_tpoly(self.data, ctx))
-        assert aut.kind == "unram"
-        return LocalPart("split", aut.apply_coords(self.data))
-
-    def matches(self, other: "LocalPart") -> bool:
-        return self.kind == other.kind and all(
-            ls.matches(a, b) for a, b in zip(self.data, other.data)
-        )
+# algebra elements: finite maps point -> local part, split elsewhere
 
 
 class AlgebraElement:
@@ -250,23 +217,28 @@ class AlgebraElement:
 
     __slots__ = ("p", "parts", "default")
 
-    def __init__(self, p: int, parts, default: LocalPart):
+    def __init__(self, p: int, parts, default: la.LocalPart):
         assert default.kind == "split"
         self.p = p
         self.parts = dict(parts)
         self.default = default
 
     @classmethod
-    def one(cls, p: int, t: Idele, prec: int = 8) -> "AlgebraElement":
-        ctx = t.ctx
-        one_s = ls.one(ctx, prec)
-        zero_s = ls.zero(ctx)
-        parts = {}
+    def embed(cls, u: Idele, t: Idele, p: int) -> "AlgebraElement":
+        """Diagonal embedding of a base element, respecting t's part kinds:
+        the constant T-polynomial u_x at ramified points, p equal
+        coordinates elsewhere."""
+        zero_s = ls.zero(u.ctx)
+        parts = {pt: la.LocalPart("split", (s,) * p) for pt, s in u.exceptions.items()}
         for pt in adeles.ram_locus(t, p):
-            parts[pt] = LocalPart("ram", (one_s,) + (zero_s,) * (p - 1))
-        return cls(p, parts, LocalPart("split", (one_s,) * p))
+            parts[pt] = la.LocalPart("ram", (u.component(pt),) + (zero_s,) * (p - 1))
+        return cls(p, parts, la.LocalPart("split", (u.default,) * p))
 
-    def part_at(self, pt: Point) -> LocalPart:
+    @classmethod
+    def one(cls, p: int, t: Idele, prec: int = 8) -> "AlgebraElement":
+        return cls.embed(adeles.unit_idele(t.ctx, prec), t, p)
+
+    def part_at(self, pt: Point) -> la.LocalPart:
         return self.parts.get(pt, self.default)
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -282,6 +254,14 @@ class AlgebraElement:
             {pt: part.scale(c) for pt, part in self.parts.items()},
             self.default.scale(c),
         )
+
+    def mul(self, other: "AlgebraElement", t: Idele) -> "AlgebraElement":
+        """Product in the algebra over t, one point at a time."""
+        assert self.p == other.p
+        parts = {}
+        for pt in set(self.parts) | set(other.parts):
+            parts[pt] = self.part_at(pt).mul(other.part_at(pt), t.component(pt))
+        return AlgebraElement(self.p, parts, self.default.mul(other.default, t.default))
 
     def apply(self, g: GlobalAutomorphism, ctx: FieldCtx) -> "AlgebraElement":
         parts = {}
@@ -300,6 +280,22 @@ class AlgebraElement:
             if not self.part_at(pt).matches(other.part_at(pt)):
                 return False
         return True
+
+
+def random_sample(t: Idele, p: int, rng, prec: int = 6) -> AlgebraElement:
+    """A random algebra element over t: random series T-polynomials at the
+    ramified points and nonzero constant split coordinates elsewhere."""
+    ctx, ell = t.ctx, t.ctx.ell
+
+    def coeffs():
+        return [rng.randrange(1, ell)] + [rng.randrange(ell) for _ in range(prec - 1)]
+
+    parts = {
+        pt: la.LocalPart("ram", [ls.series(ctx, rng.randrange(-1, 2), coeffs()) for _ in range(p)])
+        for pt in adeles.ram_locus(t, p)
+    }
+    default = [ls.constant(ctx, ctx.elem(rng.randrange(1, ell)), prec) for _ in range(p)]
+    return AlgebraElement(p, parts, la.LocalPart("split", default))
 
 
 # ----------------------------------------------------------------------
@@ -359,22 +355,20 @@ class PrimitiveElement:
     def as_algebra_element(self, t: Idele, prec: int = 8) -> AlgebraElement:
         ctx = t.ctx
         zeta = ctx.ensure_zeta()
-        zero_s = ls.zero(ctx)
-        parts = {}
-        for pt, b in self.ram_exponents.items():
-            data = [zero_s] * self.p
-            data[b] = ls.one(ctx, prec)
-            parts[pt] = LocalPart("ram", tuple(data))
-        for pt, pattern in self.split_patterns.items():
-            parts[pt] = LocalPart(
-                "split",
-                tuple(ls.constant(ctx, ctx.pow(zeta, c), prec) for c in pattern),
+        one_s = ls.one(ctx, prec)
+        parts = {
+            pt: la.LocalPart.monomial(b, one_s, self.p)
+            for pt, b in self.ram_exponents.items()
+        }
+
+        def split(pattern):
+            return la.LocalPart(
+                "split", (ls.constant(ctx, ctx.pow(zeta, c), prec) for c in pattern)
             )
-        default = LocalPart(
-            "split",
-            tuple(ls.constant(ctx, ctx.pow(zeta, c), prec) for c in self.default_pattern),
-        )
-        return AlgebraElement(self.p, parts, default)
+
+        for pt, pattern in self.split_patterns.items():
+            parts[pt] = split(pattern)
+        return AlgebraElement(self.p, parts, split(self.default_pattern))
 
 
 def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveElement:
@@ -538,70 +532,18 @@ def verify_conjugation(
             return False
     a1 = phi.alpha1.as_algebra_element(t)
     a2 = phi.alpha2.as_algebra_element(t)
-    u_elem = _idele_as_algebra_element(phi.u, t, phi.p)
+    u_elem = AlgebraElement.embed(phi.u, t, phi.p)
     image = phi.apply(a1)
-    expected = _pointwise_mul(u_elem, a2, t)
+    expected = u_elem.mul(a2, t)
     if not image.matches(expected):
         return False
     basis_img, basis_expected = image, expected
     for _ in range(2, phi.p):
-        basis_img = _pointwise_mul(basis_img, phi.apply(a1), t)
-        basis_expected = _pointwise_mul(basis_expected, expected, t)
+        basis_img = basis_img.mul(phi.apply(a1), t)
+        basis_expected = basis_expected.mul(expected, t)
         if not basis_img.matches(basis_expected):
             return False
     return True
-
-
-def _idele_as_algebra_element(u: Idele, t: Idele, p: int) -> AlgebraElement:
-    """Diagonal embedding of a base element, respecting t's part kinds."""
-    ctx = u.ctx
-    parts = {}
-    ram = set(adeles.ram_locus(t, p))
-    zero_s = ls.zero(ctx)
-    for pt, s in u.exceptions.items():
-        if pt in ram:
-            parts[pt] = LocalPart("ram", (s,) + (zero_s,) * (p - 1))
-        else:
-            parts[pt] = LocalPart("split", (s,) * p)
-    for pt in ram - set(u.exceptions):
-        parts[pt] = LocalPart("ram", (u.default,) + (zero_s,) * (p - 1))
-    return AlgebraElement(p, parts, LocalPart("split", (u.default,) * p))
-
-
-def _pointwise_mul(e1: AlgebraElement, e2: AlgebraElement, t: Idele) -> AlgebraElement:
-    """Product in the algebra over t: split coordinates multiply
-    componentwise, T-polynomials convolve with T^p rewritten to t_x."""
-    parts = {}
-    for pt in set(e1.parts) | set(e2.parts):
-        p1, p2 = e1.part_at(pt), e2.part_at(pt)
-        if p1.kind == "ram":
-            parts[pt] = _ram_mul(p1, p2, e1.p, t.component(pt))
-        else:
-            parts[pt] = LocalPart(
-                "split", tuple(ls.mul(a, b) for a, b in zip(p1.data, p2.data))
-            )
-    default = LocalPart(
-        "split", tuple(ls.mul(a, b) for a, b in zip(e1.default.data, e2.default.data))
-    )
-    return AlgebraElement(e1.p, parts, default)
-
-
-def _ram_mul(p1: LocalPart, p2: LocalPart, p: int, t_x: ls.LaurentSeries) -> LocalPart:
-    ctx = t_x.ctx
-    out = [ls.zero(ctx)] * p
-    for i, a in enumerate(p1.data):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(p2.data):
-            if b.is_zero:
-                continue
-            c = ls.mul(a, b)
-            k = i + j
-            if k >= p:
-                c = ls.mul(c, t_x)
-                k -= p
-            out[k] = ls.add(out[k], c)
-    return LocalPart("ram", tuple(out))
 
 
 def eigenproject(

@@ -17,14 +17,12 @@ from .errors import NotGalois
 
 
 class ExtensionClass:
-    """A point in the classification group, with an optional witness
-    (t, G, chi) kept for diagnostics only; equality ignores it."""
+    """A point in the classification group."""
 
-    __slots__ = ("vec", "provenance")
+    __slots__ = ("vec",)
 
-    def __init__(self, vec: ValuationVector, provenance=None):
+    def __init__(self, vec: ValuationVector):
         self.vec = vec
-        self.provenance = provenance
 
     @property
     def p(self) -> int:
@@ -75,7 +73,7 @@ def classify(t: Idele, G: gg.CyclicSubgroup, chi: gg.Character) -> ExtensionClas
         raise NotGalois("classification needs a Galois action")
     alpha = gg.primitive_element(t, G, chi)
     vec = adeles.valuation_vector(alpha.alpha_p, G.p)
-    return ExtensionClass(vec, provenance=(t, G, chi))
+    return ExtensionClass(vec)
 
 
 def trivial(p: int) -> ExtensionClass:

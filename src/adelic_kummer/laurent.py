@@ -23,7 +23,7 @@ of coeff_field applies when a root extraction extends the tower.
 
 from __future__ import annotations
 
-from .coeff_field import FieldCtx, FieldElem, elem_from_text, elem_to_text, prime_factors
+from .coeff_field import FieldCtx, FieldElem, elem_to_text, prime_factors
 from .errors import (
     NotAUnit,
     PrecisionExhausted,
@@ -292,38 +292,23 @@ def hensel_pth_root(u: LaurentSeries, p: int | None = None) -> LaurentSeries:
     return scale(w, r0)
 
 
-def nth_root_unit(u: LaurentSeries, n: int) -> LaurentSeries:
-    """n-th root of a unit, one prime factor at a time."""
-    if u.is_zero or u.val != 0:
-        raise NotAUnit("n-th root needs valuation 0")
-    result = u
-    for r in prime_factors(n):
-        k = n
-        while k % r == 0:
-            result = hensel_pth_root(result, r)
-            k //= r
-    return result
-
-
-def pth_root_series(s: LaurentSeries, p: int | None = None) -> LaurentSeries:
-    """Root of z^(val) * unit with val divisible by p: exact division of the
-    exponent plus a Hensel root of the unit part."""
+def nth_root_series(s: LaurentSeries, n: int | None = None) -> LaurentSeries:
+    """Root of z^val * unit with val divisible by n (default ctx.p): exact
+    division of the exponent, then one Hensel root of the unit for each
+    prime factor of n, counted with multiplicity."""
     if s.is_zero:
         raise ZeroInverse("exact zero has no root with a valuation")
-    p = p if p is not None else s.ctx.p
-    if s.val % p != 0:
-        raise NotAUnit(f"valuation {s.val} is not divisible by {p}")
-    unit = LaurentSeries(s.ctx, 0, s.coeffs, _checked=True)
-    return shift(hensel_pth_root(unit, p), s.val // p)
-
-
-def nth_root_series(s: LaurentSeries, n: int) -> LaurentSeries:
-    if s.is_zero:
-        raise ZeroInverse("exact zero has no root with a valuation")
+    if n is None:
+        n = s.ctx.p
     if s.val % n != 0:
         raise NotAUnit(f"valuation {s.val} is not divisible by {n}")
-    unit = LaurentSeries(s.ctx, 0, s.coeffs, _checked=True)
-    return shift(nth_root_unit(unit, n), s.val // n)
+    root = LaurentSeries(s.ctx, 0, s.coeffs, _checked=True)
+    k = n
+    for r in prime_factors(n):
+        while k % r == 0:
+            root = hensel_pth_root(root, r)
+            k //= r
+    return shift(root, s.val // n)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +328,7 @@ def to_json(s: LaurentSeries) -> dict:
 def from_json(ctx: FieldCtx, data: dict) -> LaurentSeries:
     if data["val"] is None:
         return zero(ctx)
-    coeffs = [elem_from_text(t) for t in data["coeffs"]]
+    coeffs = [ctx.elem_from_text(t) for t in data["coeffs"]]
     if len(coeffs) != data["prec"]:
         raise ValueError("prec does not match the coefficient window")
     return series(ctx, data["val"], coeffs)
@@ -424,5 +409,5 @@ def _parse_zexp(token: str) -> int:
 
 def _parse_coeff(ctx: FieldCtx, token: str) -> FieldElem:
     if token.startswith("L"):
-        return elem_from_text(token)
+        return ctx.elem_from_text(token)
     return ctx.elem(int(token))

@@ -1,19 +1,20 @@
-"""Structure of the local algebras K_x[T]/(T^n - t_x).
+"""Structure of the local algebras K_x[T]/(T^n - t_x) and their elements.
 
 For t_x of valuation v, put m = gcd(n, v) and e = n/m.  The algebra
 splits into m copies of the degree-e cyclic extension obtained by
 adjoining an e-th root of a chosen m-th root tau of t_x; for prime rank
 this means either a split algebra of p copies of K_x (e = 1) or a field
-(e = p).  The degree-p field is never materialized as a series ring:
-its elements are tracked as pairs (T-exponent, K_x-coefficient) with
-T^p rewritten to t_x, which is exact and suffices for the pairing and
-eigenvector computations.
+(e = p).  The degree-p field is never materialized as a series ring.
+
+One type, LocalPart, holds an element of the rank-p algebra: at a
+ramified point the series coefficients of 1, T, ..., T^(p-1), multiplied
+with T^p rewritten to t_x, and elsewhere its split coordinates,
+multiplied componentwise.  Local automorphisms act on the first form by
+T -> zeta^a T and on the second by a position permutation.
 
 Coordinates in the split case are ordered by evaluation at
 (tau, xi tau, ..., xi^(m-1) tau); changing tau or xi permutes them, so
 only permutation-invariant statements are guaranteed about the ordering.
-Local automorphisms act on T-polynomials by T -> zeta^a T at ramified
-points and on coordinate vectors by position permutation at split points.
 """
 
 from __future__ import annotations
@@ -210,23 +211,6 @@ class LocalAutomorphism:
             return LocalAutomorphism.ram(self.a * k, p)
         return LocalAutomorphism.unram(perm_power(self.sigma, k))
 
-    def apply_tpoly(self, coeffs, ctx: FieldCtx):
-        """Action on T-polynomial coefficients at a ramified point."""
-        assert self.kind == "ram"
-        zeta = ctx.ensure_zeta()
-        out = []
-        for j, c in enumerate(coeffs):
-            if c.is_zero:
-                out.append(c)
-            else:
-                out.append(ls.scale(c, ctx.pow(zeta, self.a * j)))
-        return tuple(out)
-
-    def apply_coords(self, coords):
-        """Action on split coordinates: (g v)_j = v_{sigma(j)}."""
-        assert self.kind == "unram"
-        return tuple(coords[self.sigma[j] - 1] for j in range(len(self.sigma)))
-
     def to_json(self) -> dict:
         if self.kind == "ram":
             return {"kind": "ram", "a": self.a}
@@ -237,6 +221,78 @@ class LocalAutomorphism:
         if data["kind"] == "ram":
             return cls.ram(data["a"], p)
         return cls.unram(data["sigma"])
+
+
+# ----------------------------------------------------------------------
+# elements of the rank-p local algebra
+
+
+def _pol_mul(ctx, f, g):
+    out = [ls.zero(ctx)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a.is_zero:
+            continue
+        for j, b in enumerate(g):
+            if b.is_zero:
+                continue
+            out[i + j] = ls.add(out[i + j], ls.mul(a, b))
+    return out
+
+
+class LocalPart:
+    """Element of one local algebra K_x[T]/(T^p - t_x): T-polynomial
+    coefficients at a ramified point ("ram"), or split coordinates
+    elsewhere ("split").  Entries are series, possibly exact zero
+    (algebra elements need not be invertible)."""
+
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind, data):
+        self.kind = kind  # "ram" | "split"
+        self.data = tuple(data)
+
+    @classmethod
+    def monomial(cls, b: int, c: ls.LaurentSeries, p: int) -> "LocalPart":
+        """c * T^b at a ramified point, 0 <= b < p."""
+        zero_s = ls.zero(c.ctx)
+        return cls("ram", (zero_s,) * b + (c,) + (zero_s,) * (p - 1 - b))
+
+    def add(self, other: "LocalPart") -> "LocalPart":
+        assert self.kind == other.kind
+        return LocalPart(self.kind, map(ls.add, self.data, other.data))
+
+    def scale(self, c: FieldElem) -> "LocalPart":
+        return LocalPart(self.kind, (ls.scale(s, c) for s in self.data))
+
+    def mul(self, other: "LocalPart", t_x: ls.LaurentSeries) -> "LocalPart":
+        """Product over T^p = t_x: componentwise on split coordinates; at a
+        ramified point one convolution, then each degree k >= p folds onto
+        k - p with one multiply by t_x."""
+        assert self.kind == other.kind
+        if self.kind == "split":
+            return LocalPart("split", map(ls.mul, self.data, other.data))
+        p = len(self.data)
+        conv = _pol_mul(t_x.ctx, self.data, other.data)
+        for k in range(p, len(conv)):
+            if not conv[k].is_zero:
+                conv[k - p] = ls.add(conv[k - p], ls.mul(conv[k], t_x))
+        return LocalPart("ram", conv[:p])
+
+    def apply(self, aut: LocalAutomorphism, ctx: FieldCtx | None = None) -> "LocalPart":
+        """T -> zeta^a T on T-polynomial coefficients (needs ``ctx``), and
+        (g v)_j = v_{sigma(j)} on split coordinates."""
+        if self.kind == "ram":
+            assert aut.kind == "ram"
+            zeta = ctx.ensure_zeta()
+            return LocalPart("ram", [
+                c if c.is_zero else ls.scale(c, ctx.pow(zeta, aut.a * j))
+                for j, c in enumerate(self.data)
+            ])
+        assert aut.kind == "unram"
+        return LocalPart("split", (self.data[i - 1] for i in aut.sigma))
+
+    def matches(self, other: "LocalPart") -> bool:
+        return self.kind == other.kind and all(map(ls.matches, self.data, other.data))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +341,7 @@ def local_isom(
     else:
         c = (v1 * pow(v2, -1, p)) % p
         quotient = ls.divide(t1x, ls.power(t2x, c))
-    factor = ls.pth_root_series(quotient, p)
+    factor = ls.nth_root_series(quotient, p)
     phi = LocalIsomorphism(c, factor, integral=(v1 == v2))
     assert ls.matches(phi.image_of_t(t2x, p), ls.truncate(t1x, phi.factor.prec))
     return phi
@@ -326,7 +382,7 @@ def oracle_pair(
     c = (lam.valuation() * pow(t_val, -1, p)) % p
     mu = ls.divide(lam, ls.power(t_x, c)) if c else lam
     assert mu.valuation() % p == 0
-    w = ls.pth_root_series(mu, p)
+    w = ls.nth_root_series(mu, p)
     assert ls.matches(ls.power(w, p), mu)
     zeta = ctx.ensure_zeta()
     g_image = ls.scale(w, ctx.pow(zeta, (a * c) % p))
@@ -338,37 +394,6 @@ def oracle_pair(
 
 # ----------------------------------------------------------------------
 # characteristic polynomials of local eigenvectors
-
-
-class RamEigenvector:
-    """unit * T^b at a ramified point."""
-
-    __slots__ = ("b", "unit")
-
-    def __init__(self, b: int, unit: ls.LaurentSeries):
-        self.b = b
-        self.unit = unit
-
-
-class SplitEigenvector:
-    """Coordinate vector at a split point."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-
-def _pol_mul(ctx, f, g):
-    out = [ls.zero(ctx)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(g):
-            if b.is_zero:
-                continue
-            out[i + j] = ls.add(out[i + j], ls.mul(a, b))
-    return out
 
 
 def _pol_add(ctx, f, g):
@@ -395,33 +420,37 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def char_poly_primitive(alpha, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
+def _ram_monomial(alpha: LocalPart):
+    """(b, c) of a ramified eigenvector c * T^b."""
+    support = [b for b, c in enumerate(alpha.data) if not c.is_zero]
+    if not support:
+        raise NonInvertible("eigenvector unit coefficient is zero")
+    if len(support) > 1:
+        raise ValueError("a ramified eigenvector must be a monomial c * T^b")
+    return support[0], alpha.data[support[0]]
+
+
+def char_poly_primitive(alpha: LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
     """Characteristic polynomial of multiplication by a local eigenvector,
     as the Leibniz determinant of T*I - M over the p-dimensional algebra.
 
-    Returns p+1 series coefficients, constant term first.
+    ``alpha`` is a monomial "ram" part or a "split" part.  Returns p+1
+    series coefficients, constant term first.
     """
+    if len(alpha.data) != p:
+        raise ValueError("eigenvector needs p coordinates")
     zero_s = ls.zero(ctx)
-    if isinstance(alpha, RamEigenvector):
-        if alpha.unit.is_zero:
-            raise NonInvertible("eigenvector unit coefficient is zero")
-        m = [[zero_s] * p for _ in range(p)]
+    m = [[zero_s] * p for _ in range(p)]
+    if alpha.kind == "ram":
+        b, unit = _ram_monomial(alpha)
         for j in range(p):
-            k = alpha.b + j
-            if k < p:
-                m[k % p][j] = alpha.unit
-            else:
-                m[k % p][j] = ls.mul(alpha.unit, t_x)
-    elif isinstance(alpha, SplitEigenvector):
-        if len(alpha.coords) != p:
-            raise ValueError("split eigenvector needs p coordinates")
-        if any(c.is_zero for c in alpha.coords):
-            raise NonInvertible("split eigenvector has a zero coordinate")
-        m = [[zero_s] * p for _ in range(p)]
-        for j in range(p):
-            m[j][j] = alpha.coords[j]
+            k = b + j
+            m[k % p][j] = unit if k < p else ls.mul(unit, t_x)
     else:
-        raise TypeError(f"unsupported eigenvector data {type(alpha).__name__}")
+        if any(c.is_zero for c in alpha.data):
+            raise NonInvertible("split eigenvector has a zero coordinate")
+        for j in range(p):
+            m[j][j] = alpha.data[j]
 
     # entries of T*I - M as linear polynomials in T
     prec = min(
@@ -443,11 +472,12 @@ def char_poly_primitive(alpha, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
     return det
 
 
-def eigenvector_pth_power(alpha, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
+def eigenvector_pth_power(alpha: LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
     """alpha^p as an element of the base: unit^p t^b, or the split diagonal."""
-    if isinstance(alpha, RamEigenvector):
-        return ls.mul(ls.power(alpha.unit, p), ls.power(t_x, alpha.b))
-    first = ls.power(alpha.coords[0], p)
-    for c in alpha.coords[1:]:
+    if alpha.kind == "ram":
+        b, unit = _ram_monomial(alpha)
+        return ls.mul(ls.power(unit, p), ls.power(t_x, b))
+    first = ls.power(alpha.data[0], p)
+    for c in alpha.data[1:]:
         assert ls.matches(ls.power(c, p), ls.truncate(first, min(first.prec, c.prec)))
     return first

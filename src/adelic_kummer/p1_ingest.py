@@ -19,7 +19,7 @@ from math import gcd
 
 from . import adeles, global_galois as gg, harrison as hr, laurent as ls
 from .adeles import Idele, INFINITY, Point
-from .coeff_field import FieldCtx, FieldElem, elem_from_text, elem_to_text
+from .coeff_field import FieldCtx, FieldElem, elem_to_text
 from .errors import NotAdmissible, PthPower
 
 
@@ -57,8 +57,8 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ctx: FieldCtx, data: dict) -> "RationalFunction":
-        constant = elem_from_text(data["constant"])
-        factors = {elem_from_text(f["root"]): f["exp"] for f in data["factors"]}
+        constant = ctx.elem_from_text(data["constant"])
+        factors = {ctx.elem_from_text(f["root"]): f["exp"] for f in data["factors"]}
         return cls(ctx, constant, factors)
 
 

@@ -196,7 +196,7 @@ def test_5_conjugacy_triple_agreement():
             # decider 3: explicit construction with pointwise verification
             try:
                 phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
-                samples = [_sample(ctx, t, p, rng) for _ in range(3)]
+                samples = [gg.random_sample(t, p, rng) for _ in range(3)]
                 d3 = gg.verify_conjugation(phi, G1, G2, t, samples)
             except NotEquivalent:
                 d3 = False
@@ -224,31 +224,6 @@ def _random_p_cycle(p, rng):
     for i in range(p):
         sigma[cycle[i] - 1] = cycle[(i + 1) % p]
     return tuple(sigma)
-
-
-def _sample(ctx, t, p, rng, prec=6):
-    parts = {}
-    for pt in adeles.ram_locus(t, p):
-        parts[pt] = gg.LocalPart(
-            "ram",
-            tuple(
-                ls.series(
-                    ctx,
-                    rng.randrange(-1, 2),
-                    [rng.randrange(1, ctx.ell)]
-                    + [rng.randrange(ctx.ell) for _ in range(prec - 1)],
-                )
-                for _ in range(p)
-            ),
-        )
-    default = gg.LocalPart(
-        "split",
-        tuple(
-            ls.constant(ctx, ctx.elem(rng.randrange(1, ctx.ell)), prec)
-            for _ in range(p)
-        ),
-    )
-    return gg.AlgebraElement(p, parts, default)
 
 
 @timed(10.0)
@@ -283,14 +258,14 @@ def test_6_primitive_element_contracts():
                 assert vec.support[pt] == (s * pow(entry, -1, p)) % p
             # characteristic polynomial = T^p - alpha^p, by determinant
             for pt, b in alpha.ram_exponents.items():
-                ev = la.RamEigenvector(b, ls.one(ctx, 8))
+                ev = la.LocalPart.monomial(b, ls.one(ctx, 8), p)
                 pol = la.char_poly_primitive(ev, t.component(pt), p, ctx)
                 assert ls.matches(pol[0], ls.neg(alpha.alpha_p.component(pt)))
                 assert all(pol[k].is_zero for k in range(1, p))
                 assert ls.matches(pol[p], ls.one(ctx, pol[p].prec))
             pattern = alpha.default_pattern
-            ev = la.SplitEigenvector(
-                tuple(ls.constant(ctx, ctx.pow(zeta, c), 8) for c in pattern)
+            ev = la.LocalPart(
+                "split", tuple(ls.constant(ctx, ctx.pow(zeta, c), 8) for c in pattern)
             )
             pol = la.char_poly_primitive(ev, ls.one(ctx, 8), p, ctx)
             assert ls.matches(pol[0], ls.neg(ls.one(ctx, 8)))

@@ -135,6 +135,21 @@ def test_malformed_input_exit_1(capsys):
     assert body["error"]["code"] == "MalformedInput"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "L1:[6,5]*z + 1*z^2", "--t", "1*z"],
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "L0:[1,2]*z", "--t", "1*z"],
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "z", "--t", '{"val": 1, "coeffs": ["L2:[1]"], "prec": 1}'],
+        ["--ell", "7", "--p", "3", "superelliptic", "--f", '{"constant": "L0:[1]", "factors": [{"root": "L1:[0,1]", "exp": 3}]}'],
+    ],
+)
+def test_literal_outside_the_tower_is_malformed(argv, capsys):
+    code, body = run_cli(argv, capsys)
+    assert code == 1
+    assert body["error"]["code"] == "MalformedInput"
+
+
 def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
 

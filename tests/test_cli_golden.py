@@ -1,0 +1,87 @@
+"""Golden CLI outputs: exit code and ``outputs`` member for fixed requests.
+
+The expected values were recorded from the CLI before the two models of a
+local-algebra element were merged into one, and pin that the merge changed
+no output.  Only ``outputs`` is compared, so the rest of the envelope may
+grow.  Paths written ``@name`` are bundled ``data/`` files.
+"""
+
+import json
+from importlib import resources
+
+import pytest
+
+from adelic_kummer import cli
+
+DATA = str(resources.files("adelic_kummer").joinpath("data"))
+
+
+def conj(ell, p, points, g1, g2, s=1):
+    t = {"default": "1", "points": points}
+    return ["--ell", str(ell), "--p", str(p), "--prec", "8", "conjugation", "--t", json.dumps(t),
+            "--g1", json.dumps(g1), "--g2", json.dumps(g2), "--s", str(s)]
+
+
+REQUESTS = {
+    "classify_standard": ["--p", "3", "--prec", "8", "classify", "--t", "@idele_z.json", "--g", "@aut_standard.json", "--s", "1"],
+    "classify_twisted": ["--p", "3", "--prec", "8", "classify", "--t", "@idele_z.json", "--g", "@aut_twisted.json", "--s", "2"],
+    "tuple_standard": ["--p", "3", "--prec", "8", "tuple", "--t", "@idele_z.json", "--g", "@aut_standard.json"],
+    "tuple_twisted": ["--p", "3", "--prec", "8", "tuple", "--t", "@idele_z.json", "--g", "@aut_twisted.json"],
+    "equivalent": ["--p", "3", "--prec", "8", "equivalent", "--t", "@idele_z.json", "--g1", "@aut_standard.json", "--g2", "@aut_twisted.json"],
+    "conjugation": ["--p", "3", "--prec", "8", "conjugation", "--t", "@idele_z.json", "--g1", "@aut_standard.json", "--g2", "@aut_twisted.json", "--s", "1"],
+    "conjugate": ["--p", "3", "conjugate", "--a", "@vec_12.json", "--b", "@vec_21.json"],
+    "product": ["--p", "3", "product", "--a", "@vec_12.json", "--b", "@vec_21.json"],
+    "superelliptic_x_xm1sq": ["--p", "3", "--prec", "8", "superelliptic", "--f", "@x_xm1sq.json"],
+    "superelliptic_cubic_shifted": ["--p", "3", "--prec", "8", "superelliptic", "--f", "@cubic_shifted.json"],
+    "isom": ["--p", "3", "--prec", "8", "isom", "--a", "@idele_z.json", "--b", "@idele_z.json"],
+    "pairing": ["--p", "3", "--prec", "8", "pairing", "--a", "2", "--lam", "z^2*(3 + 1*z)", "--t", "z^1*(1 + 4*z^2)"],
+    "conjugation_p2": conj(7, 2, {"a": "z^1*(1 + 2*z)", "b": "z^-3*(3 + 1*z^2)", "c": "z^2*(5 + 1*z)"},
+        {"default_sigma": [2, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 1]}}},
+        {"default_sigma": [2, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 1}}}),
+    "conjugation_p3": conj(7, 3, {"a": "z^1*(2 + 1*z)", "b": "z^2*(1 + 3*z)", "c": "z^3*(4)"},
+        {"default_sigma": [2, 3, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 2}, "u": {"kind": "unram", "sigma": [3, 1, 2]}}},
+        {"default_sigma": [3, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 1}}}, s=2),
+    "conjugation_p5": conj(11, 5, {"a": "z^1*(3 + 1*z)", "b": "z^-2*(1 + 5*z^3)", "c": "z^5*(2)"},
+        {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 3}}},
+        {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 1}, "c": {"kind": "unram", "sigma": [5, 1, 2, 3, 4]}}}, s=3),
+    "selftest_p2": ["--ell", "7", "--p", "2", "--prec", "8", "selftest"],
+    "selftest_p3": ["--ell", "7", "--p", "3", "--prec", "8", "selftest"],
+    "selftest_p5": ["--ell", "11", "--p", "5", "--prec", "8", "selftest"],
+}
+
+EXPECTED = json.loads(
+    """{
+ "classify_standard": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
+ "classify_twisted": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
+ "conjugate": {"outputs": {"b": 2, "verdict": true}, "rc": 0},
+ "conjugation": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "conjugation_p2": {"outputs": {"default_perm": [1, 2], "split_perms": {}, "tau_power": 1, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "conjugation_p3": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {"u": [1, 3, 2]}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "conjugation_p5": {"outputs": {"default_perm": [1, 2, 3, 4, 5], "split_perms": {"c": [1, 4, 2, 5, 3]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "equivalent": {"outputs": {"verdict": true}, "rc": 0},
+ "isom": {"outputs": {"profile_a": {"0": 3, "1": 3}, "profile_b": {"0": 3, "1": 3}, "verdict": true}, "rc": 0},
+ "pairing": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[2]"}, "rc": 0},
+ "product": {"outputs": {"vector": {}}, "rc": 0},
+ "selftest_p2": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
+ "selftest_p3": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}, {"name": "superelliptic_example", "ok": true}], "failed": 0, "passed": 7}, "rc": 0},
+ "selftest_p5": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
+ "superelliptic_cubic_shifted": {"outputs": {"admissible": true, "class": {"2": 1, "3": 1, "4": 1}, "ram": ["2", "3", "4"], "vec": {"2": 1, "3": 1, "4": 1}}, "rc": 0},
+ "superelliptic_x_xm1sq": {"outputs": {"admissible": true, "class": {"0": 1, "1": 2}, "ram": ["0", "1"], "vec": {"0": 1, "1": 2}}, "rc": 0},
+ "tuple_standard": {"outputs": {"tuple": {"0": 1, "1": 2}}, "rc": 0},
+ "tuple_twisted": {"outputs": {"tuple": {"0": 2, "1": 1}}, "rc": 0}
+}"""
+)
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_golden_outputs(name, capsys):
+    argv = [f"{DATA}/{a[1:]}" if a.startswith("@") else a for a in REQUESTS[name]]
+    rc = cli.main(argv)
+    body = json.loads(capsys.readouterr().out)
+    assert rc == EXPECTED[name]["rc"]
+    assert body["outputs"] == EXPECTED[name]["outputs"]
+
+
+def test_every_subcommand_is_pinned():
+    pinned = {a for argv in REQUESTS.values() for a in argv if a in cli.COMMANDS}
+    assert pinned == set(cli.COMMANDS)

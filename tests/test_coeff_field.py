@@ -80,25 +80,25 @@ def test_pth_root_in_base_field_matches_cube_enumeration():
     roots_of_6 = sorted(x for x in range(7) if pow(x, 3, 7) == 6)
     assert roots_of_6 == [3, 5, 6]
     ctx = FieldCtx(7, 3)
-    assert ctx.pth_root(ctx.elem(6)) == ctx.elem(3)
-    assert ctx.pth_root(ctx.elem(1)) == ctx.elem(1)
+    assert ctx.nth_root(ctx.elem(6), ctx.p) == ctx.elem(3)
+    assert ctx.nth_root(ctx.elem(1), ctx.p) == ctx.elem(1)
 
 
 def test_pth_root_extends_tower_for_noncube():
     ctx = FieldCtx(7, 3)
-    r = ctx.pth_root(ctx.elem(2))
+    r = ctx.nth_root(ctx.elem(2), ctx.p)
     assert ctx.levels == 2
     assert r.level == 1 and len(r.coeffs) == 3
     assert ctx.eq(ctx.pow(r, 3), ctx.elem(2))
     # later roots of the same element reuse the level
-    r2 = ctx.pth_root(ctx.elem(2))
+    r2 = ctx.nth_root(ctx.elem(2), ctx.p)
     assert r2 == r and ctx.levels == 2
 
 
 def test_pth_root_zero_rejected():
     ctx = FieldCtx(7, 3)
     with pytest.raises(ZeroInput):
-        ctx.pth_root(ctx.zero())
+        ctx.nth_root(ctx.zero(), ctx.p)
 
 
 @pytest.mark.parametrize("ell,p", [(7, 2), (7, 3), (11, 5), (3, 2)])
@@ -107,7 +107,7 @@ def test_pth_root_always_exact(ell, p):
     rng = random.Random(1000 + ell * p)
     for _ in range(60):
         a = ctx.elem(rng.randrange(1, ell))
-        r = ctx.pth_root(a)
+        r = ctx.nth_root(a, ctx.p)
         assert ctx.eq(ctx.pow(r, p), a)
 
 
@@ -115,7 +115,7 @@ def test_pth_root_canonical_and_deterministic():
     out = []
     for _ in range(2):
         ctx = FieldCtx(7, 3)
-        r = ctx.pth_root(ctx.elem(2))
+        r = ctx.nth_root(ctx.elem(2), ctx.p)
         out.append((r.level, r.coeffs, ctx.to_json()["tower"]))
     assert out[0] == out[1]
 
@@ -150,7 +150,7 @@ def test_field_axioms_per_level(ell, p):
     if (ell - 1) % p == 0:
         powers = {pow(y, p, ell) for y in range(1, ell)}
         non_power = next(x for x in range(2, ell) if x not in powers)
-        ctx.pth_root(ctx.elem(non_power))  # force one more level
+        ctx.nth_root(ctx.elem(non_power), ctx.p)  # force one more level
     rng = random.Random(42)
     for level in range(ctx.levels):
         for _ in range(1000):
@@ -168,14 +168,14 @@ def test_field_axioms_per_level(ell, p):
 def test_tower_steps_pass_irreducibility():
     ctx = FieldCtx(7, 5)
     ctx.ensure_zeta()
-    ctx.pth_root(ctx.elem(3))
+    ctx.nth_root(ctx.elem(3), ctx.p)
     for i, poly in enumerate(ctx.tower_polys()):
         assert ctx.poly_is_irreducible(i, poly)
 
 
 def test_embed_project_roundtrip():
     ctx = FieldCtx(7, 3)
-    ctx.pth_root(ctx.elem(2))
+    ctx.nth_root(ctx.elem(2), ctx.p)
     a = ctx.elem(5)
     up = ctx.embed(a, 1)
     assert up.level == 1 and ctx.eq(up, a)
@@ -188,7 +188,7 @@ def test_embed_project_roundtrip():
 
 def test_elem_text_roundtrip():
     ctx = FieldCtx(7, 3)
-    ctx.pth_root(ctx.elem(2))
+    ctx.nth_root(ctx.elem(2), ctx.p)
     a = FieldElem(1, (3, 0, 5))
     assert elem_to_text(a) == "L1:[3,0,5]"
     assert elem_from_text("L1:[3,0,5]") == a
@@ -197,12 +197,12 @@ def test_elem_text_roundtrip():
 def test_ctx_json_roundtrip():
     ctx = FieldCtx(7, 3)
     ctx.ensure_zeta()
-    ctx.pth_root(ctx.elem(2))
+    ctx.nth_root(ctx.elem(2), ctx.p)
     data = ctx.to_json()
     ctx2 = FieldCtx.from_json(data)
     assert ctx2.to_json() == data
-    r1 = ctx.pth_root(ctx.elem(6))
-    r2 = ctx2.pth_root(ctx2.elem(6))
+    r1 = ctx.nth_root(ctx.elem(6), ctx.p)
+    r2 = ctx2.nth_root(ctx2.elem(6), ctx2.p)
     assert r1 == r2
 
 

@@ -274,6 +274,8 @@ def test_inverse_of_zero_raises(pair):
     for level in range(1, ctx.levels):
         with pytest.raises(ZeroDivisionError):
             ctx.pow(ctx.embed(ctx.zero(), level), -1)
+    with pytest.raises(ZeroDivisionError):
+        ctx.pow(ctx.zero(), -1)
 
 
 def test_wrong_length_vector_raises_value_error():

@@ -143,16 +143,16 @@ def test_pth_power_surrogate_iff_val_divisible(ctx):
         v = rng.randrange(-6, 7)
         s = ls.series(ctx, v, [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(7)])
         if v % 3 == 0:
-            r = ls.pth_root_series(s, 3)
+            r = ls.nth_root_series(s, 3)
             assert ls.matches(ls.power(r, 3), s)
         else:
             with pytest.raises(NotAUnit):
-                ls.pth_root_series(s, 3)
+                ls.nth_root_series(s, 3)
 
 
 def test_nth_root_composite(ctx):
     u = ls.series(ctx, 0, [1, 3, 2, 5], prec=8)
-    r = ls.nth_root_unit(u, 6)
+    r = ls.nth_root_series(u, 6)
     assert ls.matches(ls.power(r, 6), u)
 
 

@@ -1,14 +1,20 @@
-"""Local structure, explicit isomorphisms, Kummer pairing, char polys."""
+"""Local structure, explicit isomorphisms, Kummer pairing, char polys,
+and the local-algebra element type LocalPart."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from adelic_kummer import laurent as ls, local_algebra as la
+from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
+from adelic_kummer.adeles import Idele, Point
 from adelic_kummer.coeff_field import FieldCtx
 from adelic_kummer.errors import (
     IncompatibleStructure,
     NonInvertible,
+    PrecisionExhausted,
     UnramifiedPoint,
 )
 
@@ -179,7 +185,7 @@ def test_oracle_pair_matches_closed_form(ell, p):
 def test_char_poly_of_class_of_t(ctx):
     # alpha = T: the companion determinant gives T^p - t
     t = ls.from_text(ctx, "z^1*(1 + 1*z)", 8)
-    alpha = la.RamEigenvector(1, ls.one(ctx, 8))
+    alpha = la.LocalPart.monomial(1, ls.one(ctx, 8), 3)
     pol = la.char_poly_primitive(alpha, t, 3, ctx)
     assert ls.matches(pol[0], ls.neg(t))
     assert pol[1].is_zero and pol[2].is_zero
@@ -189,7 +195,7 @@ def test_char_poly_of_class_of_t(ctx):
 def test_char_poly_scaled_t(ctx):
     t = ls.from_text(ctx, "z^1*(1)", 8)
     c = ctx.elem(4)
-    alpha = la.RamEigenvector(1, ls.constant(ctx, c, 8))
+    alpha = la.LocalPart.monomial(1, ls.constant(ctx, c, 8), 3)
     pol = la.char_poly_primitive(alpha, t, 3, ctx)
     expected = ls.neg(ls.scale(t, ctx.pow(c, 3)))
     assert ls.matches(pol[0], expected)
@@ -200,7 +206,7 @@ def test_char_poly_split_eigenvector(ctx):
     zeta = ctx.ensure_zeta()
     u = ls.from_text(ctx, "(2 + 1*z)", 8)
     coords = [ls.scale(u, ctx.pow(zeta, k)) for k in range(3)]
-    alpha = la.SplitEigenvector(coords)
+    alpha = la.LocalPart("split", coords)
     t = ls.one(ctx, 8)
     pol = la.char_poly_primitive(alpha, t, 3, ctx)
     alpha_p = la.eigenvector_pth_power(alpha, t, 3, ctx)
@@ -216,7 +222,7 @@ def test_char_poly_random_ram_eigenvectors(ctx):
         t = ls.series(ctx, tv, [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(7)])
         b = rng.randrange(1, 3)
         unit = ls.series(ctx, 0, [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(7)])
-        alpha = la.RamEigenvector(b, unit)
+        alpha = la.LocalPart.monomial(b, unit, 3)
         pol = la.char_poly_primitive(alpha, t, 3, ctx)
         alpha_p = la.eigenvector_pth_power(alpha, t, 3, ctx)
         assert ls.matches(pol[0], ls.neg(alpha_p))
@@ -226,10 +232,10 @@ def test_char_poly_random_ram_eigenvectors(ctx):
 def test_char_poly_noninvertible(ctx):
     t = ls.uniformizer(ctx, 8)
     with pytest.raises(NonInvertible):
-        la.char_poly_primitive(la.RamEigenvector(1, ls.zero(ctx)), t, 3, ctx)
+        la.char_poly_primitive(la.LocalPart.monomial(1, ls.zero(ctx), 3), t, 3, ctx)
     with pytest.raises(NonInvertible):
         la.char_poly_primitive(
-            la.SplitEigenvector([ls.one(ctx, 8), ls.zero(ctx), ls.one(ctx, 8)]),
+            la.LocalPart("split", [ls.one(ctx, 8), ls.zero(ctx), ls.one(ctx, 8)]),
             ls.one(ctx, 8), 3, ctx,
         )
 
@@ -259,7 +265,8 @@ def test_unram_action_composition_consistency():
             g = la.LocalAutomorphism.unram(s1)
             h = la.LocalAutomorphism.unram(s2)
             gh = g.compose(h, p)
-            assert gh.apply_coords(coords) == g.apply_coords(h.apply_coords(coords))
+            part = la.LocalPart("split", coords)
+            assert part.apply(gh).data == part.apply(h).apply(g).data
 
 
 def test_ram_action_on_tpoly(ctx):
@@ -267,7 +274,7 @@ def test_ram_action_on_tpoly(ctx):
     g = la.LocalAutomorphism.ram(2, 3)
     one = ls.one(ctx, 4)
     coeffs = (one, one, one)
-    out = g.apply_tpoly(coeffs, ctx)
+    out = la.LocalPart("ram", coeffs).apply(g, ctx).data
     assert ls.matches(out[0], one)
     assert ls.matches(out[1], ls.scale(one, ctx.pow(zeta, 2)))
     assert ls.matches(out[2], ls.scale(one, ctx.pow(zeta, 4)))
@@ -279,3 +286,216 @@ def test_local_automorphism_json(ctx):
     s = la.LocalAutomorphism.unram((2, 3, 1))
     assert s.to_json() == {"kind": "unram", "sigma": [2, 3, 1]}
     assert la.LocalAutomorphism.from_json(s.to_json(), 3) == s
+
+
+# ----------------------------------------------------------------------
+# LocalPart against the per-kind helpers it replaced
+
+
+def ref_ram_mul(data1, data2, p, t_x):
+    """Product of T-polynomials over T^p = t_x, one term at a time, each
+    term of degree >= p multiplied by t_x on its own."""
+    ctx = t_x.ctx
+    out = [ls.zero(ctx)] * p
+    for i, a in enumerate(data1):
+        if a.is_zero:
+            continue
+        for j, b in enumerate(data2):
+            if b.is_zero:
+                continue
+            c = ls.mul(a, b)
+            k = i + j
+            if k >= p:
+                c = ls.mul(c, t_x)
+                k -= p
+            out[k] = ls.add(out[k], c)
+    return tuple(out)
+
+
+def ref_apply_tpoly(aut, coeffs, ctx):
+    """T -> zeta^a T on T-polynomial coefficients."""
+    zeta = ctx.ensure_zeta()
+    out = []
+    for j, c in enumerate(coeffs):
+        if c.is_zero:
+            out.append(c)
+        else:
+            out.append(ls.scale(c, ctx.pow(zeta, aut.a * j)))
+    return tuple(out)
+
+
+def ref_apply_coords(aut, coords):
+    """(g v)_j = v_{sigma(j)} on split coordinates."""
+    return tuple(coords[aut.sigma[j] - 1] for j in range(len(aut.sigma)))
+
+
+ELL_FOR = {2: 7, 3: 7, 5: 11}
+PART_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def same(s, t):
+    return (s.val, s.prec, s.coeffs) == (t.val, t.prec, t.coeffs)
+
+
+def agree(data1, data2):
+    return len(data1) == len(data2) and all(map(ls.matches, data1, data2))
+
+
+def exact(fn):
+    """fn(), or None when a sum inside it cancels a whole known window.
+
+    Such a sum is exact zero for identical windows and PrecisionExhausted
+    otherwise, so two orders of summation that meet the cancellation in
+    different sums may both keep the contract and still disagree.
+    """
+    cancelled = []
+
+    def add(s, t):
+        out = real_add(s, t)
+        if out.is_zero and not (s.is_zero or t.is_zero):
+            cancelled.append((s, t))
+        return out
+
+    real_add = ls.add
+    try:
+        with mock.patch.object(ls, "add", add):
+            out = fn()
+    except PrecisionExhausted:
+        return None
+    return None if cancelled else out
+
+
+@st.composite
+def series(draw, ctx, val=None, zero=True):
+    if zero and draw(st.integers(0, 4)) == 0:
+        return ls.zero(ctx)
+    prec = draw(st.integers(1, 6))
+    coeffs = [draw(st.integers(1, ctx.ell - 1))]
+    coeffs += draw(st.lists(st.integers(0, ctx.ell - 1), min_size=prec - 1, max_size=prec - 1))
+    return ls.series(ctx, draw(st.integers(-2, 2)) if val is None else val, coeffs)
+
+
+@st.composite
+def parts(draw, ctx, p, kind="ram"):
+    return la.LocalPart(kind, [draw(series(ctx)) for _ in range(p)])
+
+
+@st.composite
+def parameters(draw, ctx, p, ramified=True):
+    """A local parameter t_x whose valuation p divides exactly when not ramified."""
+    v = draw(st.integers(-2 * p, 2 * p).filter(lambda v: (v % p != 0) == ramified))
+    return draw(series(ctx, val=v, zero=False))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@PART_SETTINGS
+@given(data=st.data())
+def test_local_part_mul_matches_reference(p, data):
+    ctx = FieldCtx(ELL_FOR[p], p)
+    t_x = data.draw(parameters(ctx, p, ramified=data.draw(st.booleans())))
+    f, g = data.draw(parts(ctx, p)), data.draw(parts(ctx, p))
+    got = exact(lambda: f.mul(g, t_x))
+    want = exact(lambda: ref_ram_mul(f.data, g.data, p, t_x))
+    assume(got is not None and want is not None)
+    assert got.kind == "ram" and agree(got.data, want)
+    split_f, split_g = la.LocalPart("split", f.data), la.LocalPart("split", g.data)
+    prod = split_f.mul(split_g, t_x)
+    assert prod.kind == "split"
+    assert all(map(same, prod.data, map(ls.mul, f.data, g.data)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@PART_SETTINGS
+@given(data=st.data())
+def test_local_part_mul_commutative_and_associative(p, data):
+    ctx = FieldCtx(ELL_FOR[p], p)
+    kind = data.draw(st.sampled_from(["ram", "split"]))
+    t_x = data.draw(parameters(ctx, p, ramified=data.draw(st.booleans())))
+    f, g, h = (data.draw(parts(ctx, p, kind)) for _ in range(3))
+    fg, gf = exact(lambda: f.mul(g, t_x)), exact(lambda: g.mul(f, t_x))
+    left = exact(lambda: fg.mul(h, t_x)) if fg is not None else None
+    right = exact(lambda: f.mul(g.mul(h, t_x), t_x))
+    assume(None not in (fg, gf, left, right))
+    assert fg.matches(gf)
+    assert left.matches(right)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@PART_SETTINGS
+@given(data=st.data())
+def test_local_part_apply_matches_reference(p, data):
+    ctx = FieldCtx(ELL_FOR[p], p)
+    f = data.draw(parts(ctx, p))
+    ram = la.LocalAutomorphism.ram(data.draw(st.integers(-p, 2 * p)), p)
+    moved = f.apply(ram, ctx)
+    assert moved.kind == "ram"
+    assert all(map(same, moved.data, ref_apply_tpoly(ram, f.data, ctx)))
+    sigma = data.draw(st.permutations(range(1, p + 1)))
+    unram = la.LocalAutomorphism.unram(sigma)
+    split = la.LocalPart("split", f.data)
+    moved = split.apply(unram)
+    assert moved.kind == "split"
+    assert moved.data == ref_apply_coords(unram, split.data)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@PART_SETTINGS
+@given(data=st.data())
+def test_evaluate_carries_ram_product_to_split_product(p, data):
+    ctx = FieldCtx(ELL_FOR[p], p)
+    t_x = data.draw(parameters(ctx, p, ramified=False))
+    structure = la.local_structure(t_x, p, ctx)
+    f, g = data.draw(parts(ctx, p)), data.draw(parts(ctx, p))
+    prod = exact(lambda: f.mul(g, t_x))
+    assume(prod is not None)
+    lhs = exact(lambda: structure.evaluate(prod.data))
+    rhs = exact(
+        lambda: tuple(map(ls.mul, structure.evaluate(f.data), structure.evaluate(g.data)))
+    )
+    assume(lhs is not None and rhs is not None)
+    assert agree(lhs, rhs)
+
+
+@st.composite
+def ideles(draw, ctx, p, labels="abcd"):
+    points = draw(st.lists(st.sampled_from(labels), unique=True, max_size=len(labels)))
+    return Idele(
+        {Point(lbl): draw(series(ctx, val=draw(st.integers(-2 * p, 2 * p)), zero=False)) for lbl in points},
+        draw(series(ctx, val=0, zero=False)),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@PART_SETTINGS
+@given(data=st.data())
+def test_embed_is_multiplicative(p, data):
+    ctx = FieldCtx(ELL_FOR[p], p)
+    t, u, v = (data.draw(ideles(ctx, p)) for _ in range(3))
+    lhs = gg.AlgebraElement.embed(u, t, p).mul(gg.AlgebraElement.embed(v, t, p), t)
+    assert lhs.matches(gg.AlgebraElement.embed(adeles.idele_mul(u, v), t, p))
+    for pt in adeles.ram_locus(t, p):
+        assert lhs.part_at(pt).kind == "ram"
+
+
+def test_monomial_and_one(ctx):
+    c = ls.from_text(ctx, "(2 + 1*z)", 6)
+    part = la.LocalPart.monomial(2, c, 3)
+    assert part.kind == "ram" and same(part.data[2], c)
+    assert part.data[0].is_zero and part.data[1].is_zero
+    t = Idele({Point("x"): ls.uniformizer(ctx, 6)}, ls.one(ctx, 6))
+    one = gg.AlgebraElement.one(3, t, prec=6)
+    assert one.part_at(Point("x")).matches(la.LocalPart.monomial(0, ls.one(ctx, 6), 3))
+    assert one.default.matches(la.LocalPart("split", [ls.one(ctx, 6)] * 3))
+    # T^2 * T = T^3 = t_x
+    squared = la.LocalPart.monomial(2, ls.one(ctx, 6), 3)
+    cube = squared.mul(la.LocalPart.monomial(1, ls.one(ctx, 6), 3), t.component(Point("x")))
+    assert cube.matches(la.LocalPart.monomial(0, ls.uniformizer(ctx, 6), 3))
+
+
+def test_char_poly_rejects_non_monomial_ram_part(ctx):
+    t = ls.uniformizer(ctx, 8)
+    one = ls.one(ctx, 8)
+    with pytest.raises(ValueError):
+        la.char_poly_primitive(la.LocalPart("ram", [one, one, ls.zero(ctx)]), t, 3, ctx)
