@@ -31,6 +31,13 @@ element, the window length for a window), and a reduced slot at most S
 times that (S the largest column sum of the table), so slots are sized
 for n*D*(ell-1)^2*S and never overflow, whatever ell or n.
 
+Series windows have three kernels on this layout: ``window_mul``,
+``window_inv`` and ``window_root``.  The root kernel runs the
+division-free Newton iteration y <- y + y (1 - v y^p) / p for
+y = v^(-1/p) (Brent and Kung) on packed windows, then takes
+w = v y^(p-1); its coefficient levels follow the series Newton iteration
+it replaced (see ``window_root``), so root literals keep their levels.
+
 Canonical choices.  Roots of unity and p-th roots are picked as the
 lexicographically smallest candidate (on flat coordinates) at the minimal
 sufficient level, which makes every construction reproducible.
@@ -608,11 +615,13 @@ class FieldCtx:
 
     def elem_from_text(self, text: str) -> FieldElem:
         """Parse an ``L<k>:[...]`` literal that names a level of this tower
-        and carries that level's number of coordinates."""
+        and carries that level's number of coordinates, each in [0, ell)."""
         a = elem_from_text(text)
         dims = self._layouts[-1].dims
         if not (0 <= a.level < len(dims) and len(a.coeffs) == dims[a.level]):
             raise ValueError(f"{text.strip()!r} is not in the tower of absolute degrees {list(dims)}")
+        if not all(0 <= c < self.ell for c in a.coeffs):
+            raise ValueError(f"{text.strip()!r} has a coordinate outside [0, {self.ell})")
         return a
 
     def is_zero(self, a: FieldElem) -> bool:
@@ -666,8 +675,10 @@ class FieldCtx:
         return lay.elem(lay.pow(lay.value(a), e))
 
     def eq(self, a: FieldElem, b: FieldElem) -> bool:
-        if a.level == b.level:
-            return a.coeffs == b.coeffs
+        """Equality of values: coordinates are read mod ell, as by every
+        arithmetic op, and a lower level embeds as a zero-padded prefix."""
+        if a.level == b.level and a.coeffs == b.coeffs:
+            return True
         _, x, y = self._operands(a, b)
         return x == y
 
@@ -746,6 +757,73 @@ class FieldCtx:
                 wk |= x << shift
             acc = (acc + wk * packed) >> group
         return lay.wrap(out)
+
+    def window_root(self, v, p: int) -> tuple[FieldElem, ...]:
+        """First len(v) coefficients of the p-th root w of 1 + v[1] z + ...
+        with w_0 = 1; v[0] must be 1 and p prime to ell.
+
+        Runs the division-free Newton iteration y <- y + y (1 - v y^p) / p
+        for y = v^(-1/p) (Brent and Kung, JACM 1978), doubling the known
+        precision h -> k each step, then takes w = v y^(p-1).  Values are
+        packed at the highest level in ``v``.  y has no terms in [h, k), so
+        there the correction is -v y^(p+1) / p: a step reads its k - h new
+        coefficients out of one packed product with -v/p, packed once, and
+        appends them to y.
+
+        The result reproduces the levels of the Newton iteration
+        w <- w - (w^p - v) / (p w^(p-1)) on series: w_0 is at level 0, and
+        in each window [h, k) the coefficients before the first nonzero one
+        f are level-0 zeros and w_f..w_{k-1} are at the highest level of
+        w_0..w_{h-1} and v_f..v_{k-1}.
+        """
+        n = len(v)
+        levels = [c.level for c in v]
+        lay = self._layouts[max(levels)]
+        cols = lay.columns(v)
+        lead = [col[0] for col in cols]
+        if lead != [1] + [0] * (len(cols) - 1):
+            if not any(lead):
+                raise ZeroDivisionError("inverse of zero in the coefficient tower")
+            raise ValueError("a root window must start with the coefficient 1")
+        ell = self.ell
+        neg_inv_p = -self.inv_int(p).coeffs[0] % ell
+        width = lay.slot_width(n)
+        group = 8 * width * lay.slots
+        pack, reduce = lay.pack, lay.reduce
+
+        def power(x: int, e: int, m: int) -> int:
+            """x^e mod z^m on packed reduced values (the packed 1 is 1)."""
+            acc = 1
+            while e and x != 1:
+                if e & 1:
+                    acc = x if acc == 1 else pack(reduce(acc * x, m, width), width)
+                e >>= 1
+                if e:
+                    x = pack(reduce(x * x, m, width), width)
+            return acc
+
+        packed_v = pack(cols, width)
+        scaled_v = pack([[x * neg_inv_p % ell for x in col] for col in cols], width)
+        y, h = 1, 1
+        while h < n:
+            k = min(2 * h, n)
+            new = reduce(power(y, p + 1, k) * scaled_v >> group * h, k - h, width)
+            y |= pack(new, width) << group * h
+            h = k
+        w = reduce(power(y, p - 1, n) * packed_v, n, width)
+
+        dims, l0 = lay.dims, self._l0
+        out = [l0[1]]
+        top, h = 0, 1
+        while h < n:
+            k = min(2 * h, n)
+            f = next((j for j in range(h, k) if any(col[j] for col in w)), k)
+            out += [l0[0]] * (f - h)
+            if f < k:
+                top = max(top, *levels[f:k])
+                out += self._layouts[top].wrap([col[f:k] for col in w[: dims[top]]])
+            h = k
+        return tuple(out)
 
     def _window_layout(self, level: int) -> _WindowLayout:
         """The slot layout and kernel of a level."""

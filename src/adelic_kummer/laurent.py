@@ -16,6 +16,12 @@ windows), PrecisionExhausted is raised instead of fabricating a valuation.
 Products and inverses go through one packed window kernel at every tower
 level, ``FieldCtx.window_mul`` and ``FieldCtx.window_inv``; their result
 coefficients sit at the highest level among the operand coefficients.
+Hensel roots go through ``FieldCtx.window_root``, the division-free Newton
+iteration for v^(-1/p) on the same packed windows.  Its coefficient levels
+are those of the series Newton iteration w <- w - (w^p - v) / (p w^(p-1))
+with precision doubling: w_0 is at level 0, and in each window [h, k) the
+coefficients before the first nonzero one f are level-0 zeros while
+w_f..w_{k-1} sit at the highest level of w_0..w_{h-1} and v_f..v_{k-1}.
 
 All operations are pure given a FieldCtx snapshot; the single-writer rule
 of coeff_field applies when a root extraction extends the tower.
@@ -232,17 +238,6 @@ def truncate(s: LaurentSeries, prec: int) -> LaurentSeries:
     return LaurentSeries(s.ctx, s.val, s.coeffs[:prec], _checked=True)
 
 
-def _with_prec(s: LaurentSeries, prec: int) -> LaurentSeries:
-    # private: pads with provisional zeros, which asserts knowledge the
-    # series may not have; only valid inside Newton iteration
-    if s.prec >= prec:
-        return truncate(s, prec)
-    ctx = s.ctx
-    return LaurentSeries(
-        ctx, s.val, s.coeffs + (ctx.zero(),) * (prec - s.prec), _checked=True
-    )
-
-
 def matches(s: LaurentSeries, t: LaurentSeries) -> bool:
     """Agreement on the common known window (exact zero only equals itself)."""
     if s.is_zero or t.is_zero:
@@ -260,9 +255,10 @@ def matches(s: LaurentSeries, t: LaurentSeries) -> bool:
 
 
 def hensel_pth_root(u: LaurentSeries, p: int | None = None) -> LaurentSeries:
-    """The p-th root of a unit: tower root of the leading coefficient, then
-    Newton iteration on the 1 + m part (p is prime to the characteristic,
-    so convergence is quadratic)."""
+    """The p-th root of a unit: tower root r0 of the leading coefficient
+    times the root of the 1 + m part with constant term 1, lifted by the
+    packed Newton kernel ``FieldCtx.window_root`` (p is prime to the
+    characteristic, so convergence is quadratic)."""
     if u.is_zero or u.val != 0:
         raise NotAUnit("p-th root by Hensel lifting needs valuation 0")
     ctx = u.ctx
@@ -270,25 +266,8 @@ def hensel_pth_root(u: LaurentSeries, p: int | None = None) -> LaurentSeries:
         p = ctx.p
     lead = u.coeffs[0]
     r0 = ctx.nth_root(lead, p)
-    if u.prec == 1:
-        return constant(ctx, r0, 1)
     v = scale(u, ctx.inv(lead))  # 1 + m
-    p_inv = ctx.inv_int(p)
-    w = one(ctx, 1)
-    k = 1
-    while k < u.prec:
-        k = min(2 * k, u.prec)
-        wk = _with_prec(w, k)
-        vk = truncate(v, k)
-        # w <- w - (w^p - v) / (p w^(p-1))
-        wp1 = power(wk, p - 1)
-        num = sub(mul(wp1, wk), vk)
-        if num.is_zero:
-            w = wk
-            continue
-        corr = scale(mul(num, invert(wp1)), p_inv)
-        w = sub(wk, corr)
-        w = _with_prec(w, k)
+    w = LaurentSeries(ctx, 0, ctx.window_root(v.coeffs, p), _checked=True)
     return scale(w, r0)
 
 

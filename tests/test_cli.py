@@ -2,12 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+import adelic_kummer
 from adelic_kummer import cli
 
 
@@ -150,6 +152,22 @@ def test_literal_outside_the_tower_is_malformed(argv, capsys):
     assert body["error"]["code"] == "MalformedInput"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "L0:[-1]*z + 1*z^2", "--t", "1*z"],
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "L0:[5]*z", "--t", "1*z"],
+        ["--ell", "5", "--p", "3", "pairing", "--a", "1", "--lam", "z", "--t", '{"val": 1, "coeffs": ["L0:[6]"], "prec": 1}'],
+        ["--ell", "7", "--p", "3", "superelliptic", "--f", '{"constant": "L0:[1]", "factors": [{"root": "L0:[-6]", "exp": 3}]}'],
+    ],
+)
+def test_literal_coordinate_outside_f_ell_is_malformed(argv, capsys):
+    code, body = run_cli(argv, capsys)
+    assert code == 1
+    assert body["error"]["code"] == "MalformedInput"
+    assert "outside [0," in body["error"]["message"]
+
+
 def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
 
@@ -196,11 +214,15 @@ def test_byte_identical_runs(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(adelic_kummer.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "adelic_kummer.cli", "--p", "3", "product",
          "--a", '{"x0": 1}', "--b", '{"x0": 1}'],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     body = json.loads(proc.stdout)

@@ -317,6 +317,24 @@ def test_unreduced_coordinates_are_read_mod_ell():
     assert ctx.eq(low, ctx.one())
 
 
+def test_eq_reads_coordinates_mod_ell_at_equal_levels():
+    ctx, _ = tower((5, 3))
+    assert ctx.eq(FieldElem(0, (6,)), FieldElem(0, (1,)))
+    assert ctx.eq(FieldElem(0, (-1,)), ctx.elem(4))
+    assert ctx.eq(FieldElem(1, (6, 5)), FieldElem(1, (1, 0)))
+    assert ctx.eq(FieldElem(1, (6, 5)), ctx.one())
+    assert not ctx.eq(FieldElem(0, (6,)), FieldElem(0, (2,)))
+    assert not ctx.eq(FieldElem(1, (6, 5)), FieldElem(1, (1, 1)))
+
+
+def test_literal_coordinates_outside_f_ell_are_rejected():
+    ctx, _ = tower((5, 3))
+    for text in ("L0:[-1]", "L0:[5]", "L1:[6,5]", "L1:[0,-1]"):
+        with pytest.raises(ValueError, match="outside"):
+            ctx.elem_from_text(text)
+    assert ctx.elem_from_text("L1:[4,0]") == FieldElem(1, (4, 0))
+
+
 # ----------------------------------------------------------------------
 # canonical choices, recorded from the nested model
 

@@ -1,9 +1,11 @@
 """The packed window kernel against schoolbook references, level by level.
 
 The references are the coefficient-by-coefficient convolution and the O(n^2)
-inverse recurrence, written with public FieldCtx arithmetic.  ``power`` and
-``hensel_pth_root`` are compared with the same functions run on the
-references.
+inverse recurrence, written with public FieldCtx arithmetic.  ``power`` is
+compared with the same function run on the references, and the packed root
+kernel behind ``hensel_pth_root`` and ``nth_root_series`` with the series
+Newton iteration w <- w - (w^p - v) / (p w^(p-1)) run on them
+(``ref_hensel``), levels included.
 """
 
 from contextlib import contextmanager
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from adelic_kummer import coeff_field as cf
 from adelic_kummer import laurent as ls
 from adelic_kummer.coeff_field import FieldCtx, FieldElem
-from adelic_kummer.errors import PrecisionExhausted
+from adelic_kummer.errors import NotAUnit, PrecisionExhausted
 
 # ----------------------------------------------------------------------
 # references
@@ -73,6 +75,51 @@ def ref_add(s, t):
 def reference_kernels():
     with mock.patch.object(ls, "mul", ref_mul), mock.patch.object(ls, "invert", ref_invert):
         yield
+
+
+def ref_with_prec(s, prec):
+    # pads with provisional zeros, which asserts knowledge the series may
+    # not have; only valid inside Newton iteration
+    if s.prec >= prec:
+        return ls.truncate(s, prec)
+    ctx = s.ctx
+    return ls.LaurentSeries(
+        ctx, s.val, s.coeffs + (ctx.zero(),) * (prec - s.prec), _checked=True
+    )
+
+
+def ref_hensel(u, p=None):
+    """The p-th root of a unit: tower root of the leading coefficient, then
+    Newton iteration on the 1 + m part, each step inverting w^(p-1), on the
+    schoolbook references."""
+    if u.is_zero or u.val != 0:
+        raise NotAUnit("p-th root by Hensel lifting needs valuation 0")
+    ctx = u.ctx
+    if p is None:
+        p = ctx.p
+    lead = u.coeffs[0]
+    r0 = ctx.nth_root(lead, p)
+    if u.prec == 1:
+        return ls.constant(ctx, r0, 1)
+    v = ls.scale(u, ctx.inv(lead))  # 1 + m
+    p_inv = ctx.inv_int(p)
+    w = ls.one(ctx, 1)
+    k = 1
+    with reference_kernels():
+        while k < u.prec:
+            k = min(2 * k, u.prec)
+            wk = ref_with_prec(w, k)
+            vk = ls.truncate(v, k)
+            # w <- w - (w^p - v) / (p w^(p-1))
+            wp1 = ls.power(wk, p - 1)
+            num = ls.sub(ref_mul(wp1, wk), vk)
+            if num.is_zero:
+                w = wk
+                continue
+            corr = ls.scale(ref_mul(num, ref_invert(wp1)), p_inv)
+            w = ls.sub(wk, corr)
+            w = ref_with_prec(w, k)
+    return ls.scale(w, r0)
 
 
 def same(s, t):
@@ -191,8 +238,7 @@ def test_hensel_pth_root_matches_reference(name, data):
     lead = ctx.pow(u.coeffs[0], ctx.p)
     u = ls.LaurentSeries(ctx, 0, (lead,) + u.coeffs[1:])
     fast = ls.hensel_pth_root(u)
-    with reference_kernels():
-        slow = ls.hensel_pth_root(u)
+    slow = ref_hensel(u)
     assert ctx.levels == levels
     assert same(fast, slow)
 
@@ -206,8 +252,103 @@ def test_level0_power_and_root_up_to_prec_40(data):
     e = data.draw(st.integers(-3, 7))
     fast = (ls.power(u, e), ls.hensel_pth_root(u))
     with reference_kernels():
-        slow = (ls.power(u, e), ls.hensel_pth_root(u))
+        slow = (ls.power(u, e), ref_hensel(u))
     assert all(same(a, b) for a, b in zip(fast, slow))
+
+
+@st.composite
+def root_units(draw, ctx, p, min_prec=1, max_prec=40):
+    """A unit whose leading coefficient is a p-th power, so its root stays
+    inside the tower; the later coefficients mix every level and come in
+    runs, some of them zeros at a drawn level."""
+    prec = draw(st.integers(min_prec, max_prec))
+    lead = ctx.pow(draw(elems(ctx, nonzero=True)), p)
+    rest = []
+    while len(rest) < prec - 1:
+        run = draw(st.integers(1, prec))
+        if draw(st.booleans()):
+            rest += draw(st.lists(elems(ctx), min_size=run, max_size=run))
+        else:
+            rest += [ctx.embed(ctx.zero(), draw(st.integers(0, ctx.levels - 1)))] * run
+    return ls.LaurentSeries(ctx, 0, [lead] + rest[: prec - 1])
+
+
+def characteristic(name):
+    return int(name.split("^")[0][1:])
+
+
+@pytest.mark.parametrize(
+    "name,p", [(name, p) for name in TOWERS for p in (2, 3, 5) if p != characteristic(name)]
+)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_root_kernel_matches_newton_reference(name, p, data):
+    ctx = tower(name)
+    levels = ctx.levels
+    u = data.draw(root_units(ctx, p))
+    fast = ls.hensel_pth_root(u, p)
+    assert ctx.levels == levels
+    assert same(fast, ref_hensel(u, p))
+
+
+@pytest.mark.parametrize("name,p", [("F7", 3), ("F7^3", 2), ("F2^2^3", 3)])
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_root_kernel_matches_newton_reference_at_prec_128(name, p, data):
+    ctx = tower(name)
+    u = data.draw(root_units(ctx, p, min_prec=128, max_prec=128))
+    assert same(ls.hensel_pth_root(u, p), ref_hensel(u, p))
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for name in TOWERS for n in (6, 9) if n % characteristic(name)]
+)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_nth_root_series_matches_newton_reference(name, n, data):
+    # a copy of the tower: the root of a root may need one more step
+    ctx = FieldCtx.from_json(tower(name).to_json())
+    s = ls.shift(data.draw(root_units(ctx, n, max_prec=24)), n * data.draw(st.integers(-2, 2)))
+    fast = ls.nth_root_series(s, n)
+    with mock.patch.object(ls, "hensel_pth_root", ref_hensel):
+        slow = ls.nth_root_series(s, n)
+    assert same(fast, slow)
+
+
+def test_root_levels_follow_the_newton_windows():
+    # v = 1 + x z^5 has the cube root 1 + (x/3) z^5 to precision 10: the
+    # residual is exactly zero in the windows [1, 2), [2, 4) and [8, 10)
+    ctx = tower("F7^3")
+    zero1 = ctx.embed(ctx.zero(), 1)
+    u = ls.LaurentSeries(ctx, 0, [ctx.one()] + [zero1] * 4 + [FieldElem(1, (0, 1, 0))] + [zero1] * 4)
+    r = ls.hensel_pth_root(u)
+    assert [c.level for c in r.coeffs] == [0, 0, 0, 0, 0, 1, 1, 1, 0, 0]
+    assert ls.to_json(r)["coeffs"][4:7] == ["L0:[0]", "L1:[0,5,0]", "L1:[0,0,0]"]
+    assert same(r, ref_hensel(u))
+    # level-1 zeros before the first nonzero coefficient of a window leave
+    # the window at level 0
+    u = ls.LaurentSeries(ctx, 0, [ctx.one()] + [zero1] * 4 + [ctx.elem(2)] + [ctx.zero()] * 4)
+    r = ls.hensel_pth_root(u)
+    assert [c.level for c in r.coeffs] == [0] * 10
+    assert same(r, ref_hensel(u))
+
+
+@pytest.mark.parametrize("name", ["F7^3", "F2^2^3"])
+def test_root_kernel_rejects_what_the_inverse_kernel_rejects(name):
+    ctx = tower(name)
+    top = ctx.levels - 1
+    bad = FieldElem(top, [1] * (ctx.abs_degree(top) - 1))  # one coordinate short
+    for kernel in (ctx.window_inv, lambda w: ctx.window_root(w, 5)):
+        with pytest.raises(ZeroDivisionError):
+            kernel((ctx.embed(ctx.zero(), top), ctx.one()))
+        for window in ((bad, ctx.one()), (ctx.one(), bad), ()):
+            with pytest.raises(ValueError):
+                kernel(window)
+    unit = FieldElem(top, [0, 1] + [0] * (ctx.abs_degree(top) - 2))  # a unit, but not 1
+    with pytest.raises(ValueError):
+        ctx.window_root((unit, ctx.one()), 5)
+    with pytest.raises(ZeroDivisionError):
+        ctx.window_root((ctx.one(), ctx.one()), ctx.ell)
 
 
 def outcome(fn, *args):
