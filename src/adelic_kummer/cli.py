@@ -5,11 +5,16 @@ Every subcommand reads JSON (or series text sugar) from file paths, stdin
 envelope: {command, version, inputs, outputs, diagnostics}.  Domain
 errors exit with code 2 and a machine-readable error object; malformed
 input exits with code 1.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused; ``ADELIC_PREC`` is read on every call, so a caller
+that runs many requests in one process may change it between them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -69,17 +74,27 @@ def _vector_from_json(p: int, data: dict) -> ValuationVector:
     return ValuationVector(p, {Point(lbl): v for lbl, v in data.items()})
 
 
-def _precision(text: str) -> int:
-    try:
-        prec = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}") from None
-    if prec <= 0:
-        raise argparse.ArgumentTypeError(f"precision must be positive, got {prec}")
-    return prec
+def _positive(what: str):
+    """An argparse type: a positive integer, named ``what`` in its errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"{what} must be positive, got {value}")
+        return value
+
+    return parse
 
 
+_precision = _positive("precision")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="adelic-kummer",
         description="exact invariants of rank-p adelic algebras and their covers",
@@ -89,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--prec",
         type=_precision,
-        # a string default goes through _precision too, so ADELIC_PREC is checked
-        default=os.environ.get("ADELIC_PREC", str(ls.DEFAULT_PREC)),
+        # None means "not given": main resolves ADELIC_PREC on every call
+        default=None,
         help="series precision, a positive integer (env ADELIC_PREC overrides the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -103,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("isom", help="algebra isomorphism decider")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    s.add_argument("--n", type=int, default=None, help="rank (defaults to p)")
+    s.add_argument("--n", type=_positive("rank"), default=None, help="rank (defaults to p)")
 
     s = sub.add_parser("conjugate", help="conjugacy of two valuation vectors")
     s.add_argument("--a", required=True)
@@ -324,6 +339,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.prec is None:
+            try:
+                args.prec = _precision(os.environ.get("ADELIC_PREC", str(ls.DEFAULT_PREC)))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"argument --prec: {exc}")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
@@ -332,7 +352,7 @@ def main(argv=None) -> int:
         body = _envelope(args, error={"code": exc.code, "message": str(exc)})
         print(json.dumps(body, sort_keys=True, ensure_ascii=False))
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, json.JSONDecodeError, OSError) as exc:
         body = _envelope(
             args, error={"code": "MalformedInput", "message": f"{type(exc).__name__}: {exc}"}
         )

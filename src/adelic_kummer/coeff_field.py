@@ -825,10 +825,6 @@ class FieldCtx:
             h = k
         return tuple(out)
 
-    def _window_layout(self, level: int) -> _WindowLayout:
-        """The slot layout and kernel of a level."""
-        return self._layouts[level]
-
     # ------------------------------------------------------------------
     # enumeration and canonical choices
 

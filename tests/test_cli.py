@@ -11,6 +11,7 @@ import pytest
 
 import adelic_kummer
 from adelic_kummer import cli
+from adelic_kummer import laurent as ls
 
 
 def run_cli(argv, capsys):
@@ -168,8 +169,34 @@ def test_literal_coordinate_outside_f_ell_is_malformed(argv, capsys):
     assert "outside [0," in body["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--a", "[1]", "--b", "{}"],
+        ["product", "--a", "1", "--b", "{}"],
+        ["classify", "--t", "[]", "--g", "{}"],
+        ["classify", "--t", '{"default": "1", "points": []}',
+         "--g", '{"default_sigma": [1, 2, 0], "exceptions": {}}'],
+    ],
+)
+def test_json_of_the_wrong_shape_is_malformed(argv, capsys):
+    code = cli.main(["--p", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["code"] == "MalformedInput"
+    assert captured.err == ""
+
+
 def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_non_positive_rank_is_a_usage_error(n, capsys):
+    idele = data_path("idele_z.json")
+    assert cli.main(["--p", "3", "isom", "--a", idele, "--b", idele, "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"rank must be positive, got {n}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -193,6 +220,39 @@ def test_non_positive_adelic_prec_is_a_usage_error(value, monkeypatch, capsys):
     assert captured.out == "" and "precision must be positive" in captured.err
     # an explicit --prec still wins over the environment
     assert cli.main(["--p", "3", "--prec", "6", "product", "--a", '{"x0": 1}', "--b", "{}"]) == 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_adelic_prec_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["--p", "3", "product", "--a", '{"x0": 1}', "--b", "{}"]
+    for value, prec in [("9", 9), ("11", 11), (None, ls.DEFAULT_PREC)]:
+        if value is None:
+            monkeypatch.delenv("ADELIC_PREC", raising=False)
+        else:
+            monkeypatch.setenv("ADELIC_PREC", value)
+        code, body = run_cli(argv, capsys)
+        assert code == 0 and body["inputs"]["prec"] == prec
+    monkeypatch.setenv("ADELIC_PREC", "0")
+    assert cli.main(argv) == 1
+    assert "precision must be positive" in capsys.readouterr().err
+
+
+def test_no_option_leaks_into_the_next_request(capsys):
+    f = json.dumps({"constant": "L0:[1]", "factors": [{"root": "L0:[0]", "exp": 1}]})
+    code, body = run_cli(["--p", "3", "superelliptic", "--f", f, "--lenient"], capsys)
+    assert code == 0 and body["outputs"]["admissible"] is False
+    code, body = run_cli(["--p", "3", "superelliptic", "--f", f], capsys)
+    assert code == 2 and body["error"]["code"] == "NotAdmissible"
+
+    classify = ["--p", "3", "classify", "--t", data_path("idele_z.json"),
+                "--g", data_path("aut_standard.json")]
+    code, body = run_cli([*classify, "--s", "2"], capsys)
+    assert code == 0 and body["outputs"] == {"vector": {"0": 2, "1": 1}}
+    code, body = run_cli(classify, capsys)  # s = 1
+    assert code == 0 and body["outputs"] == {"vector": {"0": 1, "1": 2}}
 
 
 def test_selftest(capsys):

@@ -85,3 +85,13 @@ def test_golden_outputs(name, capsys):
 def test_every_subcommand_is_pinned():
     pinned = {a for argv in REQUESTS.values() for a in argv if a in cli.COMMANDS}
     assert pinned == set(cli.COMMANDS)
+
+
+def test_one_process_forward_then_reverse(capsys):
+    # every request through the same parser, in both orders: no parse leaks state
+    names = sorted(REQUESTS)
+    for name in names + names[::-1]:
+        argv = [f"{DATA}/{a[1:]}" if a.startswith("@") else a for a in REQUESTS[name]]
+        rc = cli.main(argv)
+        body = json.loads(capsys.readouterr().out)
+        assert (rc, body["outputs"]) == (EXPECTED[name]["rc"], EXPECTED[name]["outputs"]), name

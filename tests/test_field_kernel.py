@@ -251,7 +251,7 @@ def test_arithmetic_matches_nested_reference(pair, data):
 def test_monomial_tables_match_nested_products(pair):
     ctx, ref = tower(pair)
     for level in range(1, ctx.levels):
-        lay = ctx._window_layout(level)
+        lay = ctx._layouts[level]
         gens = [
             ref.lift(i, level, (ref.zero(i - 1), ref.one(i - 1)) + (ref.zero(i - 1),) * (d - 2))
             for i, (d, _) in enumerate(ref.steps[:level], 1)

@@ -399,7 +399,7 @@ def test_wide_slots_at_ell_65537():
     ctx = FieldCtx(65537, 2)
     s = ls.series(ctx, 0, [(7919 * k * k + 65536) % 65537 for k in range(128)])
     t = ls.series(ctx, -1, [65536 - k for k in range(128)])
-    assert ctx._window_layout(0).slot_width(128) > 4  # slots need more than 32 bits
+    assert ctx._layouts[0].slot_width(128) > 4  # slots need more than 32 bits
     assert same(ls.mul(s, t), ref_mul(s, t))
     assert same(ls.invert(s), ref_invert(s))
 
