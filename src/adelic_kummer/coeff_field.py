@@ -31,8 +31,15 @@ element, the window length for a window), and a reduced slot at most S
 times that (S the largest column sum of the table), so slots are sized
 for n*D*(ell-1)^2*S and never overflow, whatever ell or n.
 
-Series windows have three kernels on this layout: ``window_mul``,
-``window_inv`` and ``window_root``.  The root kernel runs the
+Series windows have four kernels on this layout: ``window_mul``,
+``window_inv``, ``window_binomial`` (the powers (a + b z)^e of linear
+factors) and ``window_root``.  The product kernel first drops the
+trailing zero coefficients of both windows, since most series products
+multiply constants or short windows padded to the precision.  A single
+remaining coefficient, at level 0 or against another single one, is
+multiplied into the other window one element product at a time;
+otherwise only the trimmed windows are packed, and only the slot groups
+their product can fill are reduced.  The root kernel runs the
 division-free Newton iteration y <- y + y (1 - v y^p) / p for
 y = v^(-1/p) (Brent and Kung) on packed windows, then takes
 w = v y^(p-1); its coefficient levels follow the series Newton iteration
@@ -53,7 +60,7 @@ import itertools
 import random
 import sys
 from array import array
-from math import gcd
+from math import comb, gcd
 from operator import attrgetter, lshift
 
 from .errors import NotARootOfUnity, ZeroInput
@@ -177,6 +184,16 @@ def _int_to_slots(x: int, count: int, width: int, start: int = 0, stride: int = 
     ]
 
 
+def _trim(window, zeros):
+    """``window`` without its trailing zero coefficients, but never empty.
+    ``zeros[level]`` is the zero coordinate vector of each level, so a zero
+    of the wrong length is kept, and checked where it is read."""
+    k = len(window)
+    while k > 1 and window[k - 1].coeffs == zeros[window[k - 1].level]:
+        k -= 1
+    return window[:k]
+
+
 def _reverse_pack(col, bits: int) -> int:
     """Pack ``col`` into slots of ``bits`` bits, its first entry highest."""
     top = len(col) - 1
@@ -194,7 +211,7 @@ class _WindowLayout:
     """
 
     __slots__ = (
-        "level", "ell", "l0", "dims", "size", "zero", "one", "slots", "offsets", "table",
+        "level", "ell", "l0", "dims", "zeros", "size", "zero", "one", "slots", "offsets", "table",
         "monomials", "term_bound", "col_sum", "_table_cols", "_widths", "_reducers",
         "_shifts", "_top", "_mask", "_red", "_red_shifts", "_row_shifts",
     )
@@ -204,6 +221,7 @@ class _WindowLayout:
         self.ell = ell
         self.l0 = l0  # the interned level-0 elements
         self.dims = dims  # absolute degree of every level up to this one
+        self.zeros = tuple((0,) * d for d in dims)  # zero coordinates of each level
         dim = dims[level]
         self.size = ell**dim
         self.zero = (0,) * dim
@@ -344,7 +362,10 @@ class _WindowLayout:
     def columns(self, window) -> list[list[int]]:
         ell = self.ell
         if self.slots == 1:
-            return [[c.coeffs[0] % ell for c in window]]
+            try:
+                return [[x % ell for (x,) in map(_coeffs, window)]]
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
         dim = self.dims[self.level]
         flat = [
             x % ell
@@ -420,6 +441,9 @@ class _PrimeLayout(_WindowLayout):
 
     def neg(self, x):
         return -x % self.ell
+
+    def scale(self, x, s: int):
+        return x * s % self.ell
 
     def mul(self, x, y):
         return x * y % self.ell
@@ -711,13 +735,31 @@ class FieldCtx:
     def window_mul(self, a, b, n: int) -> tuple[FieldElem, ...]:
         """First n coefficients of the product of two coefficient windows.
 
-        The windows are read as polynomials in z, lowest power first.  The
-        result is at the highest level of any coefficient of either window.
+        The windows are read as polynomials in z, lowest power first, and
+        lose their trailing zero coefficients first.  If one of them is then
+        a single coefficient c, at level 0 or against another single
+        coefficient, the product is c times each coefficient of the other,
+        one element product each.  Otherwise only the trimmed windows, of
+        lengths ka and kb, are packed, and only the min(n, ka + kb - 1)
+        slot groups the product can fill are reduced.  The rest of the n
+        coefficients are zeros.  Every result coefficient, padding included,
+        is at the highest level of any coefficient of either full window.
         """
         lay = self._layouts[max(max(map(_level, a)), max(map(_level, b)))]
-        width = lay.slot_width(n)
-        packed = lay.pack(lay.columns(a[:n]), width) * lay.pack(lay.columns(b[:n]), width)
-        return lay.wrap(lay.reduce(packed, n, width))
+        a, b = _trim(a[:n], lay.zeros), _trim(b[:n], lay.zeros)
+        if len(b) < len(a):
+            a, b = b, a
+        if len(a) == 1 and (len(b) == 1 or not lay.level):
+            x, value, mul, elem = lay.value(a[0]), lay.value, lay.mul, lay.elem
+            out = tuple([elem(mul(x, value(c))) for c in b])
+        else:
+            # a slot sums at most len(a) coefficient products
+            width = lay.slot_width(len(a))
+            packed = lay.pack(lay.columns(a), width) * lay.pack(lay.columns(b), width)
+            out = lay.wrap(lay.reduce(packed, min(n, len(a) + len(b) - 1), width))
+        if len(out) < n:
+            out += (lay.elem(lay.zero),) * (n - len(out))
+        return out
 
     def window_inv(self, a) -> tuple[FieldElem, ...]:
         """First len(a) coefficients of 1/(a[0] + a[1] z + ...), a[0] nonzero.
@@ -757,6 +799,24 @@ class FieldCtx:
                 wk |= x << shift
             acc = (acc + wk * packed) >> group
         return lay.wrap(out)
+
+    def window_binomial(self, a: FieldElem, b: FieldElem, e: int, n: int) -> tuple[FieldElem, ...]:
+        """First n coefficients of (a + b z)^e, a nonzero: C(e, k) a^e (b/a)^k
+        for k < n, with C(e, k) = (-1)^k C(k - e - 1, k) when e < 0.  The
+        result is at the highest level of the window (a, b) cut to n
+        coefficients, as a power of that window would be."""
+        if n == 1:
+            b = self.zero()
+        lay = self._layouts[max(a.level, b.level)]
+        x = lay.value(a)
+        ratio, term = lay.mul(lay.value(b), lay.inv(x)), lay.pow(x, e)
+        terms = n if e < 0 else min(n, e + 1)  # C(e, k) = 0 for k > e >= 0
+        out = []
+        for k in range(terms):
+            c = comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+            out.append(lay.elem(lay.scale(term, c % self.ell)))
+            term = lay.mul(term, ratio)
+        return tuple(out) + (lay.elem(lay.zero),) * (n - terms)
 
     def window_root(self, v, p: int) -> tuple[FieldElem, ...]:
         """First len(v) coefficients of the p-th root w of 1 + v[1] z + ...

@@ -420,11 +420,13 @@ def ram_tuple(G: CyclicSubgroup, t: Idele) -> RamTuple:
 
 def galois_equivalent(G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele) -> bool:
     """Equality of the ramified projections, decided on tuple orbits."""
-    tup1 = ram_tuple(G1, t)
-    tup2 = ram_tuple(G2, t)
+    return _same_orbit(ram_tuple(G1, t), ram_tuple(G2, t))
+
+
+def _same_orbit(tup1: RamTuple, tup2: RamTuple) -> bool:
     if not tup1.entries and not tup2.entries:
         return True
-    return any(tup1 == tup2.scale(b) for b in range(1, G1.p))
+    return any(tup1 == tup2.scale(b) for b in range(1, tup1.p))
 
 
 class Conjugation:
@@ -482,12 +484,12 @@ def construct_conjugation(
     G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele, chi1: Character
 ) -> Conjugation:
     """Build (phi, tau) conjugating the two Galois structures over t."""
-    if not galois_equivalent(G1, G2, t):
+    tup1 = ram_tuple(G1, t)
+    tup2 = ram_tuple(G2, t)
+    if not _same_orbit(tup1, tup2):
         raise NotEquivalent("subgroups differ on the ramified projection")
     p = G1.p
     ctx = t.ctx
-    tup1 = ram_tuple(G1, t)
-    tup2 = ram_tuple(G2, t)
     if tup1.entries:
         pt = next(iter(tup1.entries))
         k = (tup1.entries[pt] * pow(tup2.entries[pt], -1, p)) % p
@@ -539,7 +541,7 @@ def verify_conjugation(
         return False
     basis_img, basis_expected = image, expected
     for _ in range(2, phi.p):
-        basis_img = basis_img.mul(phi.apply(a1), t)
+        basis_img = basis_img.mul(image, t)
         basis_expected = basis_expected.mul(expected, t)
         if not basis_img.matches(basis_expected):
             return False

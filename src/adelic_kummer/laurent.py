@@ -209,20 +209,26 @@ def invert(s: LaurentSeries) -> LaurentSeries:
 
 
 def power(s: LaurentSeries, n: int) -> LaurentSeries:
+    """s^n by square and multiply.  The running product starts as
+    s^(2^i), i the lowest set bit of n, rather than as 1 * s^(2^i)."""
     if n < 0:
         return power(invert(s), -n)
     if s.is_zero:
         if n == 0:
             raise ValueError("0^0 over a series ring")
         return s
-    result = one(s.ctx, s.prec)
-    base = s
+    if n == 0:
+        return one(s.ctx, s.prec)
+    if n == 1:
+        # as in every other power, each coefficient at the highest level in s
+        return mul(one(s.ctx, s.prec), s)
+    result = None
     while n:
         if n & 1:
-            result = mul(result, base)
+            result = s if result is None else mul(result, s)
         n >>= 1
         if n:
-            base = mul(base, base)
+            s = mul(s, s)
     return result
 
 
@@ -244,6 +250,9 @@ def matches(s: LaurentSeries, t: LaurentSeries) -> bool:
         return s.is_zero and t.is_zero
     if s.val != t.val:
         return False
+    n = min(s.prec, t.prec)
+    if s.coeffs[:n] == t.coeffs[:n]:  # equal levels and coordinates
+        return True
     ctx = s.ctx
     return all(
         ctx.eq(a, b) for a, b in zip(s.coeffs, t.coeffs)

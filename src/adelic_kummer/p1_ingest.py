@@ -81,15 +81,20 @@ def divisor(f: RationalFunction) -> dict:
 
 def germ(f: RationalFunction, at, prec: int = ls.DEFAULT_PREC) -> ls.LaurentSeries:
     """Series expansion of f in the local uniformizer at a root, at
-    infinity, or at any other finite point given by a field element."""
+    infinity, or at any other finite point given by a field element.  Each
+    linear factor a + b z is raised to its exponent by the binomial series,
+    in one pass of ``prec`` terms, and multiplied in."""
     ctx = f.ctx
+
+    def power_of_linear(a, b, e):
+        return ls.LaurentSeries(ctx, 0, ctx.window_binomial(a, b, e, prec), _checked=True)
+
     out = ls.constant(ctx, f.constant, prec)
     if at is INFINITY or (isinstance(at, Point) and at == INFINITY):
         # z = 1/x: (x - r) = z^-1 (1 - r z)
         out = ls.shift(out, -f.degree())
         for root, exp in f.factors.items():
-            lin = ls.series(ctx, 0, [ctx.one(), ctx.neg(root)], prec=prec)
-            out = ls.mul(out, ls.power(lin, exp))
+            out = ls.mul(out, power_of_linear(ctx.one(), ctx.neg(root), exp))
         return out
     center = ctx.project(at)
     for root, exp in f.factors.items():
@@ -98,8 +103,7 @@ def germ(f: RationalFunction, at, prec: int = ls.DEFAULT_PREC) -> ls.LaurentSeri
             # z = x - root: the factor contributes z^exp exactly
             out = ls.shift(out, exp)
         else:
-            lin = ls.series(ctx, 0, [offset, ctx.one()], prec=prec)
-            out = ls.mul(out, ls.power(lin, exp))
+            out = ls.mul(out, power_of_linear(offset, ctx.one(), exp))
     return out
 
 

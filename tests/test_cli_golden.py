@@ -2,8 +2,11 @@
 
 The expected values were recorded from the CLI before the two models of a
 local-algebra element were merged into one, and pin that the merge changed
-no output.  Only ``outputs`` is compared, so the rest of the envelope may
-grow.  Paths written ``@name`` are bundled ``data/`` files.
+no output.  The ``superelliptic_p*`` requests and ``conjugation_p5_unram``
+were recorded later, before products with a monomial or trimmed operand
+and the binomial germs went in, and pin that those changed no output.  Only
+``outputs`` is compared, so the rest of the envelope may grow.  Paths
+written ``@name`` are bundled ``data/`` files.
 """
 
 import json
@@ -20,6 +23,11 @@ def conj(ell, p, points, g1, g2, s=1):
     t = {"default": "1", "points": points}
     return ["--ell", str(ell), "--p", str(p), "--prec", "8", "conjugation", "--t", json.dumps(t),
             "--g1", json.dumps(g1), "--g2", json.dumps(g2), "--s", str(s)]
+
+
+def superelliptic(ell, p, constant, factors, *flags):
+    f = {"constant": constant, "factors": [{"root": r, "exp": e} for r, e in factors]}
+    return ["--ell", str(ell), "--p", str(p), "--prec", "8", "superelliptic", "--f", json.dumps(f), *flags]
 
 
 REQUESTS = {
@@ -44,6 +52,14 @@ REQUESTS = {
     "conjugation_p5": conj(11, 5, {"a": "z^1*(3 + 1*z)", "b": "z^-2*(1 + 5*z^3)", "c": "z^5*(2)"},
         {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 3}}},
         {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 1}, "c": {"kind": "unram", "sigma": [5, 1, 2, 3, 4]}}}, s=3),
+    "conjugation_p5_unram": conj(11, 5, {"a": "z^2*(4 + 1*z + 3*z^2)", "b": "z^-1*(7 + 2*z)", "d": "z^5*(1 + 1*z)"},
+        {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 4}, "u": {"kind": "unram", "sigma": [2, 3, 4, 5, 1]}}},
+        {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 4}, "b": {"kind": "ram", "a": 3}, "d": {"kind": "unram", "sigma": [4, 5, 1, 2, 3]}}}, s=2),
+    "superelliptic_p2": superelliptic(7, 2, "L0:[3]", [("L0:[0]", 1), ("L0:[2]", 1), ("L0:[4]", 1), ("L0:[6]", 1)]),
+    # exponent gcd 2 and a root at 0
+    "superelliptic_p5_gcd2": superelliptic(11, 5, "L0:[6]", [("L0:[0]", 2), ("L0:[3]", 2), ("L0:[7]", 2), ("L0:[9]", 4)]),
+    # a negative exponent and a ramified infinity
+    "superelliptic_p5_lenient": superelliptic(11, 5, "L0:[2]", [("L0:[1]", 3), ("L0:[4]", -1), ("L0:[5]", 4)], "--lenient"),
     "selftest_p2": ["--ell", "7", "--p", "2", "--prec", "8", "selftest"],
     "selftest_p3": ["--ell", "7", "--p", "3", "--prec", "8", "selftest"],
     "selftest_p5": ["--ell", "11", "--p", "5", "--prec", "8", "selftest"],
@@ -58,6 +74,7 @@ EXPECTED = json.loads(
  "conjugation_p2": {"outputs": {"default_perm": [1, 2], "split_perms": {}, "tau_power": 1, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p3": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {"u": [1, 3, 2]}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p5": {"outputs": {"default_perm": [1, 2, 3, 4, 5], "split_perms": {"c": [1, 4, 2, 5, 3]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "conjugation_p5_unram": {"outputs": {"default_perm": [1, 5, 4, 3, 2], "split_perms": {"d": [1, 4, 2, 5, 3], "u": [1, 3, 5, 2, 4]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "equivalent": {"outputs": {"verdict": true}, "rc": 0},
  "isom": {"outputs": {"profile_a": {"0": 3, "1": 3}, "profile_b": {"0": 3, "1": 3}, "verdict": true}, "rc": 0},
  "pairing": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[2]"}, "rc": 0},
@@ -66,6 +83,9 @@ EXPECTED = json.loads(
  "selftest_p3": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}, {"name": "superelliptic_example", "ok": true}], "failed": 0, "passed": 7}, "rc": 0},
  "selftest_p5": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
  "superelliptic_cubic_shifted": {"outputs": {"admissible": true, "class": {"2": 1, "3": 1, "4": 1}, "ram": ["2", "3", "4"], "vec": {"2": 1, "3": 1, "4": 1}}, "rc": 0},
+ "superelliptic_p2": {"outputs": {"admissible": true, "class": {"0": 1, "2": 1, "4": 1, "6": 1}, "ram": ["0", "2", "4", "6"], "vec": {"0": 1, "2": 1, "4": 1, "6": 1}}, "rc": 0},
+ "superelliptic_p5_gcd2": {"outputs": {"admissible": true, "class": {"0": 1, "3": 1, "7": 1, "9": 2}, "ram": ["0", "3", "7", "9"], "vec": {"0": 2, "3": 2, "7": 2, "9": 4}}, "rc": 0},
+ "superelliptic_p5_lenient": {"outputs": {"admissible": false, "class": {"1": 1, "4": 3, "5": 3, "\u221e": 3}, "ram": ["1", "4", "5", "\u221e"], "vec": {"1": 3, "4": 4, "5": 4, "\u221e": 4}}, "rc": 0},
  "superelliptic_x_xm1sq": {"outputs": {"admissible": true, "class": {"0": 1, "1": 2}, "ram": ["0", "1"], "vec": {"0": 1, "1": 2}}, "rc": 0},
  "tuple_standard": {"outputs": {"tuple": {"0": 1, "1": 2}}, "rc": 0},
  "tuple_twisted": {"outputs": {"tuple": {"0": 2, "1": 1}}, "rc": 0}

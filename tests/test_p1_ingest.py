@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic_kummer import adeles, laurent as ls, p1_ingest as p1
 from adelic_kummer.adeles import INFINITY, Point
-from adelic_kummer.coeff_field import FieldCtx
+from adelic_kummer.coeff_field import FieldCtx, FieldElem
 from adelic_kummer.errors import NotAdmissible, PthPower
 
 
@@ -171,3 +173,67 @@ def test_rational_function_json_roundtrip(ctx):
     }
     back = p1.RationalFunction.from_json(ctx, data)
     assert back.factors == f.factors and back.constant == f.constant
+
+
+def ref_germ(f, at, prec):
+    """The germ as a product of powers of linear series windows."""
+    ctx = f.ctx
+    out = ls.constant(ctx, f.constant, prec)
+    if at is INFINITY or (isinstance(at, Point) and at == INFINITY):
+        out = ls.shift(out, -f.degree())
+        for root, exp in f.factors.items():
+            lin = ls.series(ctx, 0, [ctx.one(), ctx.neg(root)], prec=prec)
+            out = ls.mul(out, ls.power(lin, exp))
+        return out
+    center = ctx.project(at)
+    for root, exp in f.factors.items():
+        offset = ctx.sub(center, root)
+        if ctx.is_zero(offset):
+            out = ls.shift(out, exp)
+        else:
+            lin = ls.series(ctx, 0, [offset, ctx.one()], prec=prec)
+            out = ls.mul(out, ls.power(lin, exp))
+    return out
+
+
+def extension_towers():
+    f7 = FieldCtx(7, 3)
+    f7.nth_root(f7.elem(2), 3)  # 2 is not a cube mod 7: a level of degree 3
+    f2 = FieldCtx(2, 3)
+    f2.ensure_zeta()  # F_4
+    return {"F7^3": f7, "F2^2": f2}
+
+
+EXTENSIONS = extension_towers()
+
+
+def field_elems(ctx):
+    """Elements at level 0 or at the top level of the tower."""
+    top = ctx.levels - 1
+    dim = ctx.abs_degree(top)
+    return st.one_of(
+        st.integers(0, ctx.ell - 1).map(ctx.elem),
+        st.lists(st.integers(0, ctx.ell - 1), min_size=dim, max_size=dim).map(
+            lambda c: FieldElem(top, c)
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_germ_matches_power_reference(name, data):
+    ctx = EXTENSIONS[name]
+    roots = data.draw(
+        st.lists(field_elems(ctx), min_size=1, max_size=4, unique_by=ctx.project)
+    )
+    exps = data.draw(
+        st.lists(
+            st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), min_size=len(roots), max_size=len(roots)
+        )
+    )
+    constant = data.draw(field_elems(ctx).filter(lambda c: not ctx.is_zero(c)))
+    f = p1.RationalFunction(ctx, constant, dict(zip(roots, exps)))
+    at = data.draw(st.one_of(st.sampled_from(roots), field_elems(ctx), st.just(INFINITY)))
+    prec = data.draw(st.integers(1, 12))
+    assert ls.to_json(p1.germ(f, at, prec)) == ls.to_json(ref_germ(f, at, prec))

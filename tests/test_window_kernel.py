@@ -2,10 +2,12 @@
 
 The references are the coefficient-by-coefficient convolution and the O(n^2)
 inverse recurrence, written with public FieldCtx arithmetic.  ``power`` is
-compared with the same function run on the references, and the packed root
-kernel behind ``hensel_pth_root`` and ``nth_root_series`` with the series
-Newton iteration w <- w - (w^p - v) / (p w^(p-1)) run on them
-(``ref_hensel``), levels included.
+compared with the same function run on the references and with repeated
+schoolbook products, the binomial kernel with the power of its two-term
+window on the references, and the packed root kernel behind
+``hensel_pth_root`` and ``nth_root_series`` with the series Newton
+iteration w <- w - (w^p - v) / (p w^(p-1)) run on them (``ref_hensel``),
+levels included.
 """
 
 from contextlib import contextmanager
@@ -69,6 +71,25 @@ def ref_add(s, t):
             return ls.zero(ctx)
         raise PrecisionExhausted("sum cancels on the whole known window")
     return ls.LaurentSeries(ctx, lo + k, tuple(out[k:]), _checked=True)
+
+
+def ref_window_mul(ctx, a, b, n):
+    """First n coefficients of a window product, at the highest level of
+    either full window."""
+    lvl = max(c.level for c in a + b)
+    out = [ctx.embed(ctx.zero(), lvl)] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return tuple(ctx.embed(c, lvl) for c in out)
+
+
+def ref_power(s, n):
+    """s^n for n >= 1 as n schoolbook products, the first with 1."""
+    out = ls.one(s.ctx, s.prec)
+    for _ in range(n):
+        out = ref_mul(out, s)
+    return out
 
 
 @contextmanager
@@ -205,6 +226,72 @@ def test_mul_matches_schoolbook(name, data):
     assert same(ls.mul(s, t), ref_mul(s, t))
 
 
+@st.composite
+def sparse_windows(draw, ctx, max_prec=12):
+    """A nonzero series with a head of one to three coefficients (a monomial,
+    a linear window or a short one) and then a run of zeros; each zero is
+    at a drawn level, so some sit above every level of the head."""
+    prec = draw(st.integers(1, max_prec))
+    head = draw(st.integers(1, min(prec, 3)))
+    coeffs = [draw(elems(ctx, nonzero=True))]
+    coeffs += draw(st.lists(elems(ctx), min_size=head - 1, max_size=head - 1))
+    levels = draw(st.lists(st.integers(0, ctx.levels - 1), min_size=prec - head, max_size=prec - head))
+    coeffs += [ctx.embed(ctx.zero(), level) for level in levels]
+    return ls.LaurentSeries(ctx, draw(st.integers(-3, 3)), coeffs)
+
+
+def any_windows(ctx, max_prec=12):
+    return st.one_of(sparse_windows(ctx, max_prec), windows(ctx, max_prec))
+
+
+@pytest.mark.parametrize("name", TOWERS)
+@TOWER_SETTINGS
+@given(data=st.data())
+def test_sparse_mul_matches_schoolbook(name, data):
+    ctx = tower(name)
+    s, t = data.draw(sparse_windows(ctx)), data.draw(any_windows(ctx))
+    assert same(ls.mul(s, t), ref_mul(s, t))
+    assert same(ls.mul(t, s), ref_mul(t, s))
+
+
+@pytest.mark.parametrize("name", TOWERS)
+@TOWER_SETTINGS
+@given(data=st.data())
+def test_window_mul_with_windows_longer_than_n(name, data):
+    # operands of any length against n, among them one coefficient against
+    # a longer window, the call shape of the inverse kernel
+    ctx = tower(name)
+    a = data.draw(st.one_of(elems(ctx).map(lambda c: (c,)), any_windows(ctx).map(lambda s: s.coeffs)))
+    b = data.draw(any_windows(ctx)).coeffs
+    if data.draw(st.booleans()):
+        a, b = b, a
+    n = data.draw(st.integers(1, max(len(a), len(b)) + 2))
+    assert ctx.window_mul(a, b, n) == ref_window_mul(ctx, a, b, n)
+
+
+@pytest.mark.parametrize("name", TOWERS)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_power_of_sparse_windows_matches_reference(name, data):
+    ctx = tower(name)
+    s = data.draw(any_windows(ctx, max_prec=10))
+    for n in range(1, 7):
+        assert same(ls.power(s, n), ref_power(s, n)), n
+
+
+@pytest.mark.parametrize("name", TOWERS)
+@TOWER_SETTINGS
+@given(data=st.data())
+def test_binomial_kernel_matches_power_of_the_window(name, data):
+    ctx = tower(name)
+    a, b = data.draw(elems(ctx, nonzero=True)), data.draw(elems(ctx))
+    e = data.draw(st.integers(-5, 6).filter(bool))
+    n = data.draw(st.integers(1, 12))
+    with reference_kernels():
+        slow = ls.power(ls.series(ctx, 0, [a, b], prec=n), e)
+    assert ctx.window_binomial(a, b, e, n) == slow.coeffs
+
+
 @pytest.mark.parametrize("name", TOWERS)
 @TOWER_SETTINGS
 @given(data=st.data())
@@ -333,18 +420,26 @@ def test_root_levels_follow_the_newton_windows():
     assert same(r, ref_hensel(u))
 
 
-@pytest.mark.parametrize("name", ["F7^3", "F2^2^3"])
+def malformed(ctx, level):
+    """A coefficient vector of the wrong length: one coordinate short, or
+    two coordinates at level 0."""
+    dim = ctx.abs_degree(level)
+    return FieldElem(level, [1] * (dim - 1 if dim > 1 else 2))
+
+
+@pytest.mark.parametrize("name", ["F7", "F7^3", "F2^2^3"])
 def test_root_kernel_rejects_what_the_inverse_kernel_rejects(name):
     ctx = tower(name)
     top = ctx.levels - 1
-    bad = FieldElem(top, [1] * (ctx.abs_degree(top) - 1))  # one coordinate short
+    bad = malformed(ctx, top)
     for kernel in (ctx.window_inv, lambda w: ctx.window_root(w, 5)):
         with pytest.raises(ZeroDivisionError):
             kernel((ctx.embed(ctx.zero(), top), ctx.one()))
         for window in ((bad, ctx.one()), (ctx.one(), bad), ()):
             with pytest.raises(ValueError):
                 kernel(window)
-    unit = FieldElem(top, [0, 1] + [0] * (ctx.abs_degree(top) - 2))  # a unit, but not 1
+    dim = ctx.abs_degree(top)
+    unit = FieldElem(top, [0, 1] + [0] * (dim - 2)) if dim > 1 else ctx.elem(2)  # a unit, but not 1
     with pytest.raises(ValueError):
         ctx.window_root((unit, ctx.one()), 5)
     with pytest.raises(ZeroDivisionError):
@@ -412,7 +507,16 @@ def test_slot_packing_roundtrip(width):
 
 
 def test_malformed_coefficient_vector_is_rejected():
-    ctx = tower("F7^3")
-    bad = ls.LaurentSeries(ctx, 0, (FieldElem(1, [1, 2]), ctx.one()), _checked=True)
-    with pytest.raises(ValueError):
-        ls.mul(bad, bad)
+    for name in ("F7^3", "F7"):
+        ctx = tower(name)
+        coeff = FieldElem(ctx.levels - 1, [1, 2])  # one coordinate short at level 1, one too many at 0
+        bad = ls.LaurentSeries(ctx, 0, (coeff, ctx.one()), _checked=True)
+        with pytest.raises(ValueError):
+            ls.mul(bad, bad)
+        # as a monomial operand, against a window and against a monomial
+        monomial = ls.LaurentSeries(ctx, 0, (coeff,), _checked=True)
+        for other in (ls.one(ctx, 4), ls.series(ctx, 0, [1, 2, 3]), ls.one(ctx, 1)):
+            with pytest.raises(ValueError):
+                ls.mul(monomial, other)
+            with pytest.raises(ValueError):
+                ls.mul(other, monomial)
