@@ -657,7 +657,12 @@ class FieldCtx:
 
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if a.level == 0 and b.level == 0:
-            return self._l0[(a.coeffs[0] + b.coeffs[0]) % self.ell]
+            try:
+                (x,) = a.coeffs
+                (y,) = b.coeffs
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
+            return self._l0[(x + y) % self.ell]
         lay, x, y = self._operands(a, b)
         return lay.elem(lay.add(x, y))
 
@@ -666,13 +671,22 @@ class FieldCtx:
 
     def neg(self, a: FieldElem) -> FieldElem:
         if a.level == 0:
-            return self._l0[-a.coeffs[0] % self.ell]
+            try:
+                (x,) = a.coeffs
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
+            return self._l0[-x % self.ell]
         lay = self._layouts[a.level]
         return lay.elem(lay.neg(lay.value(a)))
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if a.level == 0 and b.level == 0:
-            return self._l0[a.coeffs[0] * b.coeffs[0] % self.ell]
+            try:
+                (x,) = a.coeffs
+                (y,) = b.coeffs
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
+            return self._l0[x * y % self.ell]
         if a.level == 0 or b.level == 0:
             # an F_ell scalar times the coordinates of the other operand
             scalar, a = (a, b) if a.level == 0 else (b, a)
@@ -685,7 +699,11 @@ class FieldCtx:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the coefficient tower")
         if a.level == 0:
-            return self._l0[pow(a.coeffs[0], self.ell - 2, self.ell)]
+            try:
+                (x,) = a.coeffs
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
+            return self._l0[pow(x, self.ell - 2, self.ell)]
         lay = self._layouts[a.level]
         return lay.elem(lay.inv(lay.value(a)))
 
@@ -694,7 +712,11 @@ class FieldCtx:
 
     def pow(self, a: FieldElem, e: int) -> FieldElem:
         if a.level == 0:
-            return self._l0[self._layouts[0].pow(a.coeffs[0], e)]
+            try:
+                (x,) = a.coeffs
+            except ValueError:
+                raise ValueError("coefficient vector does not match its level degree") from None
+            return self._l0[self._layouts[0].pow(x, e)]
         lay = self._layouts[a.level]
         return lay.elem(lay.pow(lay.value(a), e))
 

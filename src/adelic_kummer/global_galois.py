@@ -432,7 +432,8 @@ def _same_orbit(tup1: RamTuple, tup2: RamTuple) -> bool:
 class Conjugation:
     """Descriptor of a conjugating pair: tau(g1) = g2^k, and phi acting as
     the identity at ramified points and a coordinate permutation rho at
-    split points, with phi(alpha1) = u alpha2 on primitive elements."""
+    split points, with phi(alpha1) = u alpha2 on primitive elements; the
+    constructed u is always the unit idele, kept for the JSON."""
 
     __slots__ = ("p", "k", "u", "split_perms", "default_perm", "alpha1", "alpha2")
 
@@ -489,34 +490,23 @@ def construct_conjugation(
     if not _same_orbit(tup1, tup2):
         raise NotEquivalent("subgroups differ on the ramified projection")
     p = G1.p
-    ctx = t.ctx
     if tup1.entries:
         pt = next(iter(tup1.entries))
         k = (tup1.entries[pt] * pow(tup2.entries[pt], -1, p)) % p
     else:
         k = 1
-    s2 = (chi1.s * pow(k, -1, p)) % p
-    chi2 = Character(s2, p)
     alpha1 = primitive_element(t, G1, chi1)
-    alpha2 = primitive_element(t, G2, chi2)
-    # ramified parts coincide (equal exponents), so u is supported where
-    # the split first coordinates differ; with both patterns normalized to
-    # start at zeta^0 the ratio is 1, computed here rather than assumed
-    zeta = ctx.ensure_zeta()
-    u_parts = {}
+    alpha2 = primitive_element(t, G2, Character(chi1.s * pow(k, -1, p), p))
     for pt, b1 in alpha1.ram_exponents.items():
-        b2 = alpha2.ram_exponents[pt]
-        assert b1 == b2, "matched projections must give equal exponents"
+        assert b1 == alpha2.ram_exponents[pt], "matched projections must give equal exponents"
     split_perms = {}
     for pt in set(alpha1.split_patterns) | set(alpha2.split_patterns):
         pat1 = alpha1.split_patterns.get(pt, alpha1.default_pattern)
-        pat2 = alpha2.split_patterns.get(pt, alpha2.default_pattern)
-        ratio = (pat1[0] - pat2[0]) % p
-        if ratio:
-            u_parts[pt] = ls.constant(ctx, ctx.pow(zeta, ratio), t.default.prec)
-        split_perms[pt] = _pattern_perm(pat1, pat2)
+        split_perms[pt] = _pattern_perm(pat1, alpha2.split_patterns.get(pt, alpha2.default_pattern))
     default_perm = _pattern_perm(alpha1.default_pattern, alpha2.default_pattern)
-    u = Idele(u_parts, ls.one(ctx, t.default.prec))
+    # u = 1: the ramified exponents are equal, and eigen_pattern puts
+    # zeta^0 first in every split pattern of both primitive elements
+    u = adeles.unit_idele(t.ctx, t.default.prec)
     return Conjugation(p, k, u, split_perms, default_perm, alpha1, alpha2)
 
 
@@ -524,7 +514,9 @@ def verify_conjugation(
     phi: Conjugation, G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele, samples
 ) -> bool:
     """Check phi . g = tau(g) . phi on the given algebra elements, and
-    multiplicativity of phi on the eigenvector basis."""
+    phi(alpha1) = alpha2 on the primitive elements (u is 1).  phi permutes
+    split coordinates and fixes ramified parts, so it is a ring map by
+    construction and its multiplicativity needs no check."""
     ctx = t.ctx
     tau_g1 = G2.generator.power(phi.k)
     for sample in samples:
@@ -532,20 +524,8 @@ def verify_conjugation(
         rhs = phi.apply(sample).apply(tau_g1, ctx)
         if not lhs.matches(rhs):
             return False
-    a1 = phi.alpha1.as_algebra_element(t)
-    a2 = phi.alpha2.as_algebra_element(t)
-    u_elem = AlgebraElement.embed(phi.u, t, phi.p)
-    image = phi.apply(a1)
-    expected = u_elem.mul(a2, t)
-    if not image.matches(expected):
-        return False
-    basis_img, basis_expected = image, expected
-    for _ in range(2, phi.p):
-        basis_img = basis_img.mul(image, t)
-        basis_expected = basis_expected.mul(expected, t)
-        if not basis_img.matches(basis_expected):
-            return False
-    return True
+    image = phi.apply(phi.alpha1.as_algebra_element(t))
+    return image.matches(phi.alpha2.as_algebra_element(t))
 
 
 def eigenproject(

@@ -365,14 +365,12 @@ def kummer_pair(a: int, lam_val: int, t_val: int, ctx: FieldCtx) -> FieldElem:
 
 def oracle_pair(
     a: int, lam: ls.LaurentSeries, t_x: ls.LaurentSeries, ctx: FieldCtx
-) -> FieldElem:
-    """Brute-force pairing: adjoin the p-th root of lam explicitly and
-    divide out the automorphism image.
-
-    Writes lam = t_x^c * w^p exactly (root extraction may extend the
-    tower), so lam^(1/p) = T^c w, applies T -> zeta^a T, and returns the
-    quotient, which the arithmetic forces to be a constant in mu_p.
-    """
+) -> FieldElem | None:
+    """The pairing in the algebra K_x[T]/(T^p - t_x): write lam = t_x^c w^p
+    (the root may extend the tower), check y^p = lam for y = w T^c with
+    products that fold T^p onto t_x, apply T -> zeta^a T, and read zeta^k
+    with g(y) = zeta^k y off the T^c entries.  Returns zeta^k at its
+    lowest level, or None when a check fails."""
     p = ctx.p
     if t_x.is_zero or lam.is_zero:
         raise ZeroParameter("pairing arguments must be nonzero")
@@ -380,16 +378,18 @@ def oracle_pair(
     if t_val % p == 0:
         raise UnramifiedPoint("pairing needs a ramified point: p divides v(t)")
     c = (lam.valuation() * pow(t_val, -1, p)) % p
-    mu = ls.divide(lam, ls.power(t_x, c)) if c else lam
-    assert mu.valuation() % p == 0
-    w = ls.nth_root_series(mu, p)
-    assert ls.matches(ls.power(w, p), mu)
-    zeta = ctx.ensure_zeta()
-    g_image = ls.scale(w, ctx.pow(zeta, (a * c) % p))
-    quotient = ls.mul(g_image, ls.invert(w))
-    assert quotient.valuation() == 0
-    assert all(ctx.is_zero(cf) for cf in quotient.coeffs[1:])
-    return ctx.project(quotient.coeffs[0])
+    w = ls.nth_root_series(ls.divide(lam, ls.power(t_x, c)) if c else lam, p)
+    y = LocalPart.monomial(c, w, p)
+    y_p = y
+    for _ in range(p - 1):
+        y_p = y_p.mul(y, t_x)
+    if not y_p.matches(LocalPart.monomial(0, lam, p)):
+        return None
+    image = y.apply(LocalAutomorphism.ram(a, p), ctx)
+    ratio = ctx.div(image.data[c].leading(), w.leading())
+    if not ctx.eq(ctx.pow(ratio, p), ctx.one()) or not image.matches(y.scale(ratio)):
+        return None
+    return ctx.project(ratio)
 
 
 # ----------------------------------------------------------------------

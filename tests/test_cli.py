@@ -119,6 +119,41 @@ def test_pairing(capsys):
     assert body["outputs"]["oracle_agrees"] is True
 
 
+def test_pairing_reports_a_failed_oracle_as_false(capsys, monkeypatch):
+    from adelic_kummer import local_algebra as la
+    from adelic_kummer.coeff_field import FieldCtx
+
+    # c = 2: y^3 = w^3 T^6 folds through t twice
+    lam, t = "z^2*(5 + 1*z)", "z^1*(1 + 1*z)"
+    argv = ["--p", "3", "pairing", "--a", "1", "--lam", lam, "--t", t]
+
+    def mul_without_fold(self, other, t_x):
+        return la.LocalPart("ram", la._pol_mul(t_x.ctx, self.data, other.data)[: len(self.data)])
+
+    with monkeypatch.context() as m:
+        m.setattr(la.LocalPart, "mul", mul_without_fold)
+        ctx = FieldCtx(7, 3)
+        assert la.oracle_pair(1, ls.from_text(ctx, lam, 8), ls.from_text(ctx, t, 8), ctx) is None
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["outputs"]["oracle_agrees"] is False
+        code, body = run_cli(["--ell", "7", "--p", "3", "--prec", "8", "selftest"], capsys)
+        assert code == 2
+        assert {c["name"]: c["ok"] for c in body["outputs"]["checks"]}["pairing_oracle"] is False
+
+    closed_form = la.kummer_pair
+
+    def off_by_one(a, lam_val, t_val, ctx):
+        return ctx.mul(closed_form(a, lam_val, t_val, ctx), ctx.ensure_zeta())
+
+    monkeypatch.setattr(la, "kummer_pair", off_by_one)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["outputs"]["oracle_agrees"] is False
+
+
 def test_domain_error_exit_2(capsys):
     f = json.dumps({"constant": "L0:[1]", "factors": [{"root": "L0:[0]", "exp": 1}]})
     code, body = run_cli(["--p", "3", "superelliptic", "--f", f], capsys)

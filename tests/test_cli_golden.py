@@ -4,7 +4,10 @@ The expected values were recorded from the CLI before the two models of a
 local-algebra element were merged into one, and pin that the merge changed
 no output.  The ``superelliptic_p*`` requests and ``conjugation_p5_unram``
 were recorded later, before products with a monomial or trimmed operand
-and the binomial germs went in, and pin that those changed no output.  Only
+and the binomial germs went in, and pin that those changed no output.
+The ``pairing_*`` requests, each with a class that is not a unit times a
+p-th power (c != 0), were recorded before the pairing oracle was rebuilt
+on ``LocalPart`` and pin that the rebuild changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -43,6 +46,10 @@ REQUESTS = {
     "superelliptic_cubic_shifted": ["--p", "3", "--prec", "8", "superelliptic", "--f", "@cubic_shifted.json"],
     "isom": ["--p", "3", "--prec", "8", "isom", "--a", "@idele_z.json", "--b", "@idele_z.json"],
     "pairing": ["--p", "3", "--prec", "8", "pairing", "--a", "2", "--lam", "z^2*(3 + 1*z)", "--t", "z^1*(1 + 4*z^2)"],
+    "pairing_p2": ["--ell", "7", "--p", "2", "--prec", "8", "pairing", "--a", "1", "--lam", "z^3*(5 + 2*z + 1*z^3)", "--t", "z^-1*(3 + 1*z)"],
+    "pairing_p5": ["--ell", "11", "--p", "5", "--prec", "8", "pairing", "--a", "2", "--lam", "z^3*(4 + 1*z + 7*z^2)", "--t", "z^2*(6 + 3*z)"],
+    # zeta at level 1
+    "pairing_ell3_p5": ["--ell", "3", "--p", "5", "--prec", "8", "pairing", "--a", "3", "--lam", "z^-2*(2 + 1*z)", "--t", "z^1*(1 + 2*z^2)"],
     "conjugation_p2": conj(7, 2, {"a": "z^1*(1 + 2*z)", "b": "z^-3*(3 + 1*z^2)", "c": "z^2*(5 + 1*z)"},
         {"default_sigma": [2, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 1]}}},
         {"default_sigma": [2, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 1}}}),
@@ -78,6 +85,9 @@ EXPECTED = json.loads(
  "equivalent": {"outputs": {"verdict": true}, "rc": 0},
  "isom": {"outputs": {"profile_a": {"0": 3, "1": 3}, "profile_b": {"0": 3, "1": 3}, "verdict": true}, "rc": 0},
  "pairing": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[2]"}, "rc": 0},
+ "pairing_ell3_p5": {"outputs": {"log": 4, "oracle_agrees": true, "pair": "L1:[1,1,1,0]"}, "rc": 0},
+ "pairing_p2": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[6]"}, "rc": 0},
+ "pairing_p5": {"outputs": {"log": 3, "oracle_agrees": true, "pair": "L0:[5]"}, "rc": 0},
  "product": {"outputs": {"vector": {}}, "rc": 0},
  "selftest_p2": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
  "selftest_p3": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}, {"name": "superelliptic_example", "ok": true}], "failed": 0, "passed": 7}, "rc": 0},

@@ -245,6 +245,27 @@ def test_construct_conjugation_crossed_tuples(ctx):
     assert gg.verify_conjugation(phi, G12, G21, t, samples)
 
 
+def test_verify_conjugation_rejects_a_tampered_phi(ctx):
+    t = mk_idele(ctx, {"x0": "z", "x1": "z^1*(3)"})
+    G12 = kummer_group(t, 3, {"x0": 1, "x1": 2})
+    G21 = kummer_group(t, 3, {"x0": 2, "x1": 1})
+    phi = gg.construct_conjugation(G12, G21, t, gg.Character(1, 3))
+    samples = [random_algebra_element(ctx, t, 3, random.Random(s)) for s in range(3)]
+    assert gg.verify_conjugation(phi, G12, G21, t, samples)
+
+    def tampered(k, default_perm):
+        return gg.Conjugation(3, k, phi.u, phi.split_perms, default_perm, phi.alpha1, phi.alpha2)
+
+    # rotated split coordinates still intertwine the two actions, but send
+    # alpha1 to zeta^j alpha2 with j != 0, not to u alpha2 with u = 1
+    rotated = la.perm_compose(phi.default_perm, gg.standard_p_cycle(3))
+    assert not gg.verify_conjugation(tampered(phi.k, rotated), G12, G21, t, [])
+    assert not gg.verify_conjugation(tampered(phi.k, rotated), G12, G21, t, samples)
+    # a wrong power of tau fails on the samples
+    wrong_k = tampered(phi.k % 3 + 1, phi.default_perm)
+    assert not gg.verify_conjugation(wrong_k, G12, G21, t, samples)
+
+
 def test_construct_conjugation_rejects_inequivalent(ctx):
     t = mk_idele(ctx, {"x0": "z", "x1": "z^1*(3)"})
     G11 = kummer_group(t, 3, {"x0": 1, "x1": 1})

@@ -520,3 +520,14 @@ def test_malformed_coefficient_vector_is_rejected():
                 ls.mul(monomial, other)
             with pytest.raises(ValueError):
                 ls.mul(other, monomial)
+        # and by the scalar field ops
+        scalar_cases = (
+            (ctx.add, coeff, ctx.one()),
+            (ctx.mul, coeff, coeff),
+            (ctx.neg, coeff),
+            (ctx.inv, coeff),
+            (ctx.pow, coeff, 2),
+        )
+        for op, *args in scalar_cases:
+            with pytest.raises(ValueError, match="does not match its level degree"):
+                op(*args)
