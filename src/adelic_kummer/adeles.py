@@ -76,9 +76,6 @@ class Adele:
     def component(self, pt: Point) -> ls.LaurentSeries:
         return self.exceptions.get(pt, self.default)
 
-    def support(self) -> list[Point]:
-        return sorted(self.exceptions)
-
     def __repr__(self):
         body = ", ".join(
             f"{pt.label}: {ls.to_text(s)}" for pt, s in sorted(self.exceptions.items())

@@ -47,7 +47,8 @@ it replaced (see ``window_root``), so root literals keep their levels.
 
 Canonical choices.  Roots of unity and p-th roots are picked as the
 lexicographically smallest candidate (on flat coordinates) at the minimal
-sufficient level, which makes every construction reproducible.
+sufficient level, which makes every construction reproducible.  The
+candidates are powers of the seeded Sylow generators of root extraction.
 
 Concurrency: a FieldCtx is append-only.  Tower extension must be
 serialized by the caller (single writer); concurrent readers are safe on
@@ -56,7 +57,6 @@ a snapshot.  FieldElem values are immutable.
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from array import array
@@ -569,10 +569,13 @@ def _is_irreducible(K, poly) -> bool:
     return True
 
 
-def _has_order(K, x, m: int) -> bool:
-    if K.pow(x, m) != K.one:
-        return False
-    return all(K.pow(x, m // r) != K.one for r in prime_factors(m))
+def _least_in_coset(K, x, g, n: int) -> FieldElem:
+    """The lexicographically smallest x g^k, k < n, for kernel values of K."""
+    least = acc = x
+    for _ in range(n - 1):
+        acc = K.mul(acc, g)
+        least = min(least, acc)
+    return K.elem(least)
 
 
 class FieldCtx:
@@ -649,7 +652,9 @@ class FieldCtx:
         return a
 
     def is_zero(self, a: FieldElem) -> bool:
-        return all(c == 0 for c in a.coeffs)
+        """Whether ``a`` is zero, reading its coordinates mod ell as ``eq`` does."""
+        ell = self.ell
+        return not any([c % ell for c in a.coeffs])
 
     def _operands(self, a: FieldElem, b: FieldElem):
         lay = self._layouts[max(a.level, b.level)]
@@ -908,12 +913,7 @@ class FieldCtx:
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # enumeration and canonical choices
-
-    def elements(self, level: int):
-        """All elements of a level, in lexicographic order on flat coordinates."""
-        for flat in itertools.product(range(self.ell), repeat=self.abs_degree(level)):
-            yield FieldElem(level, flat)
+    # canonical choices
 
     def _random_irreducible(self, level: int, degree: int):
         """Monic irreducible step polynomial by seeded random trial."""
@@ -941,10 +941,11 @@ class FieldCtx:
     def ensure_root_of_unity(self, m: int) -> FieldElem:
         """A cached element of exact multiplicative order m.
 
-        Scans existing levels from the bottom for the first whose group
-        order is divisible by m, extending the tower by one step when none
-        qualifies; within that level, picks the lexicographically smallest
-        element of order m.
+        At the lowest level with m | q - 1, extending the tower by one step
+        when none qualifies, the product y of eta^(r^s / gcd(m, r^s)) over
+        the Sylow generators eta (order r^s) for the primes r | m has order
+        m.  Its generators y^k, gcd(k, m) = 1, are the elements of order m
+        in cyclic F_q^*; the lexicographically smallest is returned.
         """
         if m == 1:
             return self.one()
@@ -952,22 +953,24 @@ class FieldCtx:
             return self._unity_cache[m]
         if m % self.ell == 0:
             raise ValueError(f"no elements of order {m} in characteristic {self.ell}")
-        level = None
-        for i in range(self.levels):
-            if (self.level_size(i) - 1) % m == 0:
-                level = i
-                break
+        level = next((i for i in range(self.levels) if (self.level_size(i) - 1) % m == 0), None)
         if level is None:
             top = self.levels - 1
             deg = multiplicative_order(self.level_size(top), m)
             poly = self._random_irreducible(top, deg)
             level = self._append_step(poly)
         lay = self._layouts[level]
-        for cand in self.elements(level):
-            if _has_order(lay, lay.value(cand), m):
-                self._unity_cache[m] = cand
-                return cand
-        raise AssertionError("order-m element must exist once m | q - 1")
+        y = lay.one
+        for r in prime_factors(m):
+            eta, _, _, s = self._sylow_data(level, r)
+            y = lay.mul(y, lay.pow(eta, r**s // gcd(m, r**s)))
+        acc = least = y
+        for k in range(2, m):
+            acc = lay.mul(acc, y)
+            if gcd(k, m) == 1:
+                least = min(least, acc)
+        zeta = self._unity_cache[m] = lay.elem(least)
+        return zeta
 
     def ensure_zeta(self) -> FieldElem:
         """The distinguished primitive p-th root of unity (cached, stable)."""
@@ -1075,13 +1078,7 @@ class FieldCtx:
                 # x -> x^r is a bijection; the unique root is a^(r^-1 mod q-1)
                 return lay.elem(lay.pow(x, pow(r, -1, q - 1)))
             if lay.pow(x, (q - 1) // r) == lay.one:
-                root, gamma = self._prime_root_in_level(level, x, r)
-                cands = []
-                w = lay.one
-                for _ in range(r):
-                    cands.append(lay.elem(lay.mul(root, w)))
-                    w = lay.mul(w, gamma)
-                return min(cands, key=_coeffs)
+                return _least_in_coset(lay, *self._prime_root_in_level(level, x, r), r)
         # not an r-th power anywhere in the tower: X^r - a is irreducible
         # over the top level (r prime), so one degree-r step suffices
         top = self._layouts[-1]
@@ -1089,12 +1086,7 @@ class FieldCtx:
         lay = self._layouts[self._append_step(poly)]
         gen = lay.lift((0,) * top.dims[-1] + (1,))  # the new generator X
         w = lay.lift(top.coords(self._sylow_data(top.level, r)[1]))  # an element of order r
-        cands = []
-        acc = lay.one
-        for _ in range(r):
-            cands.append(lay.elem(lay.mul(gen, acc)))
-            acc = lay.mul(acc, w)
-        return min(cands, key=_coeffs)
+        return _least_in_coset(lay, gen, w, r)
 
     # ------------------------------------------------------------------
     # serialization

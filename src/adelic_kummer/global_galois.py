@@ -155,12 +155,6 @@ class CyclicSubgroup:
         self.generator = generator
         self.p = p
 
-    def elements(self):
-        g = GlobalAutomorphism.identity(self.p)
-        for _ in range(self.p):
-            yield g
-            g = self.generator.compose(g)
-
 
 class Character:
     """chi with chi(generator) = zeta^s for a nonzero residue s."""

@@ -1,9 +1,15 @@
 """Tower arithmetic: canonical roots of unity, p-th roots, field axioms."""
 
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import adelic_kummer
 from adelic_kummer.coeff_field import (
     FieldCtx,
     FieldElem,
@@ -23,6 +29,35 @@ def brute_orders(ell):
             k += 1
         orders[x] = k
     return orders
+
+
+def prime_divisors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+
+
+def reference_root_of_unity(ctx, level, m):
+    """The first element of exact order m at ``level``, scanning the level
+    in lexicographic order on flat coordinates."""
+    one = ctx.one()
+    for flat in itertools.product(range(ctx.ell), repeat=ctx.abs_degree(level)):
+        x = FieldElem(level, flat)
+        if ctx.eq(ctx.pow(x, m), one) and not any(
+            ctx.eq(ctx.pow(x, m // r), one) for r in prime_divisors(m)
+        ):
+            return x
+
+
+def run_child(*args):
+    """Run ``python args`` on this package; a hang fails after 60 s."""
+    src = os.path.dirname(os.path.dirname(adelic_kummer.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
 
 
 def test_zeta_f7_p3_is_smallest_order_3_element():
@@ -135,6 +170,96 @@ def test_root_of_unity_general_order():
     assert ctx.eq(ctx.pow(xi6, 6), ctx.one())
     assert not ctx.eq(ctx.pow(xi6, 2), ctx.one())
     assert not ctx.eq(ctx.pow(xi6, 3), ctx.one())
+
+
+# (ell, p, elements whose p-th roots are taken first, orders m in the order
+# asked); every level reached has at most 4,096 elements, so the scan is quick
+REFERENCE_CASES = [
+    (7, 3, [], [2, 3, 6, 9, 18, 19, 38, 57, 114, 171, 342]),
+    (7, 3, [2], [9, 19, 3, 171, 342, 6]),
+    (13, 3, [2], [3, 4, 12, 9, 61, 183, 36, 2196]),
+    (11, 5, [], [2, 5, 10, 3, 4, 6, 8, 12, 24, 40, 60, 120]),
+    (2, 3, [], [3, 5, 15, 7, 21, 63, 4095]),
+    (3, 2, [], [2, 4, 8, 13, 26, 52, 104]),
+    (5, 3, [], [2, 4, 3, 6, 8, 12, 24]),
+]
+
+
+@pytest.mark.parametrize("ell,p,roots,orders", REFERENCE_CASES)
+def test_root_of_unity_matches_the_reference_scan(ell, p, roots, orders):
+    ctx = FieldCtx(ell, p)
+    for a in roots:
+        ctx.nth_root(ctx.elem(a), p)
+    for m in orders:
+        xi = ctx.ensure_root_of_unity(m)
+        sizes = [ctx.level_size(i) for i in range(xi.level + 1)]
+        # the lowest level whose group order m divides
+        assert (sizes[-1] - 1) % m == 0
+        assert all((q - 1) % m for q in sizes[:-1])
+        assert xi == reference_root_of_unity(ctx, xi.level, m)
+
+
+def tower_json(ell, p, steps):
+    """``to_json`` of a tower whose steps have level-0 coefficients, given
+    as digit strings, lowest degree first."""
+    return {"ell": ell, "p": p, "tower": [[f"L0:[{c}]" for c in step] for step in steps]}
+
+
+def test_zeta_3_23_pinned():
+    ctx = FieldCtx(3, 23)
+    assert elem_to_text(ctx.ensure_zeta()) == "L1:[0,0,1,0,2,0,0,0,1,0,0]"
+    assert ctx.to_json() == tower_json(3, 23, ["202201200001"])
+
+
+def test_zeta_2_47_pinned_without_a_level_scan():
+    # the level has 2^23 elements: a scan of it takes tens of seconds
+    code = (
+        "import json\n"
+        "from adelic_kummer.coeff_field import FieldCtx\n"
+        "ctx = FieldCtx(2, 47)\n"
+        "print(json.dumps([repr(ctx.ensure_zeta()), ctx.to_json()]))"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    zeta, data = json.loads(proc.stdout)
+    assert zeta == "L1:[0,0,0,0,0,1,1,0,0,0,1,1,1,1,1,0,0,1,0,1,1,1,1]"
+    assert data == tower_json(2, 47, ["110010101101011000011101"])
+
+
+def test_selftest_7_11_finishes():
+    # zeta lives in a level of 7^10 elements
+    proc = run_child("-m", "adelic_kummer.cli", "--ell", "7", "--p", "11", "selftest")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["failed"] == 0
+
+
+@pytest.mark.parametrize("ell,p", [(7, 3), (13, 3), (11, 5), (7, 2)])
+def test_zeta_does_not_depend_on_earlier_roots(ell, p):
+    def run(zeta_first):
+        ctx = FieldCtx(ell, p)
+        zeta = ctx.ensure_zeta() if zeta_first else None
+        roots = [ctx.nth_root(ctx.elem(a), p) for a in range(1, ell)]
+        if not zeta_first:
+            zeta = ctx.ensure_zeta()
+        return zeta, roots, ctx.to_json()
+
+    assert run(True) == run(False)
+
+
+def test_unreduced_zero_is_zero():
+    ctx = FieldCtx(7, 3)
+    zero = FieldElem(0, (7,))
+    assert ctx.eq(zero, ctx.zero()) and ctx.is_zero(zero)
+    assert not ctx.is_zero(FieldElem(0, (8,)))
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(zero)
+    with pytest.raises(ZeroInput):
+        ctx.nth_root(zero, 3)
+    ctx.nth_root(ctx.elem(2), 3)  # a level of degree 3
+    zero1 = FieldElem(1, (7, 0, 14))
+    assert ctx.eq(zero1, ctx.zero()) and ctx.is_zero(zero1)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(zero1)
 
 
 def random_elem(ctx, level, rng):
