@@ -26,6 +26,8 @@ slot group holds coordinate t of the group's reduction in slot M - 1: a
 field product is one big-int product and D such reducer products, and an
 inverse solves the D x D multiplication matrix read by the same reducers.
 Level L's table comes from level L-1's products and the step polynomial.
+The same construction over a candidate step polynomial f gives the layout
+of the ring K[X]/(f), in which the Rabin irreducibility test runs.
 A product slot sums at most n*D products below ell^2 (n = 1 for an
 element, the window length for a window), and a reduced slot at most S
 times that (S the largest column sum of the table), so slots are sized
@@ -313,7 +315,8 @@ class _WindowLayout:
         """Solve x * y = 1 over F_ell.  Column j of the multiplication
         matrix of x reduces x times basis monomial j, whose encoding is x's
         shifted by that monomial's slot, so row t of the matrix is read
-        from one product of x with reducer t."""
+        from one product of x with reducer t.  Raises ZeroDivisionError on
+        zero and on the zero divisors of K[X]/(f), f reducible (Rabin test)."""
         packed = self.encode(x)
         if not packed:
             raise ZeroDivisionError("inverse of zero in the coefficient tower")
@@ -324,11 +327,13 @@ class _WindowLayout:
             product = packed * q
             rows.append([(product >> s & mask) % ell for s in self._row_shifts] + [0])
         rows[0][-1] = 1
-        # Gauss-Jordan elimination; a nonzero x has an invertible matrix
+        # Gauss-Jordan elimination; a column without a pivot is a non-unit
         for c in range(dim):
             r = c
-            while not rows[r][c]:
+            while r < dim and not rows[r][c]:
                 r += 1
+            if r == dim:
+                raise ZeroDivisionError("inverse of a non-unit")
             pivot = rows[r]
             rows[r] = rows[c]
             scale = pow(pivot[c], ell - 2, ell)
@@ -489,83 +494,23 @@ def _next_layout(below: _WindowLayout, poly) -> _WindowLayout:
     return _WindowLayout(below.level + 1, dims, offsets, table, below.ell, below.l0)
 
 
-# polynomials in X over one level, as lists of that level's kernel values,
-# lowest degree first ---------------------------------------------------
-
-
-def _ptrim(K, f):
-    while len(f) > 1 and f[-1] == K.zero:
-        f.pop()
-    return f
-
-
-def _psub(K, f, g):
-    z = K.zero
-    return [
-        K.add(f[i] if i < len(f) else z, K.neg(g[i]) if i < len(g) else z)
-        for i in range(max(len(f), len(g)))
-    ]
-
-
-def _pmul(K, f, g):
-    z = K.zero
-    out = [z] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x == z:
-            continue
-        for k, y in enumerate(g):
-            out[i + k] = K.add(out[i + k], K.mul(x, y))
-    return out
-
-
-def _pmod(K, f, g):
-    g = _ptrim(K, list(g))
-    lead_inv = K.inv(g[-1])
-    rem = list(f)
-    for k in range(len(rem) - len(g), -1, -1):
-        c = K.mul(rem[k + len(g) - 1], lead_inv)
-        if c == K.zero:
-            continue
-        for i, gc in enumerate(g):
-            rem[k + i] = K.add(rem[k + i], K.neg(K.mul(c, gc)))
-    return _ptrim(K, rem)
-
-
-def _pgcd(K, f, g):
-    a, b = _ptrim(K, list(f)), _ptrim(K, list(g))
-    while not (len(b) == 1 and b[0] == K.zero):
-        a, b = b, _pmod(K, a, b)
-    return a
-
-
-def _ppowmod(K, base, e: int, mod):
-    result = [K.one]
-    b = _pmod(K, list(base), mod)
-    while e:
-        if e & 1:
-            result = _pmod(K, _pmul(K, result, b), mod)
-        b = _pmod(K, _pmul(K, b, b), mod)
-        e >>= 1
-    return result
-
-
 def _is_irreducible(K, poly) -> bool:
-    """Rabin test: X^(q^d) = X mod f together with gcd(X^(q^(d/r)) - X, f)
-    = 1 for every prime r dividing d."""
-    f = _ptrim(K, list(poly))
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
+    """Rabin test for a monic f = ``poly`` of degree d over K, in R = K[X]/(f)
+    on the layout of a step by f: X^(q^d) = X, and X^(q^(d/r)) - X is a unit
+    of R (prime to f) for every prime r dividing d."""
+    d = len(poly) - 1
+    if d <= 1:
+        return d == 1
+    R = _next_layout(K, poly)
+    x = R.lift((0,) * K.dims[-1] + (1,))
     q = K.size
-    x = [K.zero, K.one]
-    if _ptrim(K, _psub(K, _ppowmod(K, x, q**d, f), x)) != [K.zero]:
+    if R.pow(x, q**d) != x:
         return False
-    for r in prime_factors(d):
-        h = _ptrim(K, _psub(K, _ppowmod(K, x, q ** (d // r), f), x))
-        if len(_pgcd(K, h, f)) != 1:
-            return False
+    try:
+        for r in prime_factors(d):
+            R.inv(R.add(R.pow(x, q ** (d // r)), R.neg(x)))
+    except ZeroDivisionError:
+        return False
     return True
 
 
@@ -619,14 +564,18 @@ class FieldCtx:
         ]
 
     def poly_is_irreducible(self, level: int, poly) -> bool:
-        """Rabin test for a monic polynomial whose FieldElem coefficients lie
-        at ``level`` or below.
+        """Rabin test for a monic polynomial f, given by its FieldElem
+        coefficients (lowest degree first), which lie at ``level`` or below;
+        raises ValueError for any other polynomial.
 
         Checks X^(q^d) = X mod f together with gcd(X^(q^(d/r)) - X, f) = 1
-        for every prime r dividing d.
+        for every prime r dividing d, in K[X]/(f) on the packed layout.
         """
         lay = self._layouts[level]
-        return _is_irreducible(lay, [lay.value(c) for c in poly])
+        coeffs = [lay.value(c) for c in poly if c.level <= level]
+        if len(coeffs) < len(poly) or coeffs[-1:] != [lay.one]:
+            raise ValueError(f"not a monic polynomial over level {level}")
+        return _is_irreducible(lay, coeffs)
 
     # ------------------------------------------------------------------
     # public element arithmetic
@@ -925,9 +874,7 @@ class FieldCtx:
                 lay.lift(tuple(rng.randrange(self.ell) for _ in range(sub))) for _ in range(degree)
             ]
             poly.append(lay.one)
-            if poly[0] == lay.zero:
-                continue
-            if _is_irreducible(lay, poly):
+            if poly[0] != lay.zero and _is_irreducible(lay, poly):
                 return poly
 
     def _append_step(self, poly):

@@ -37,6 +37,9 @@ class GlobalAutomorphism:
         self.default_sigma = tuple(default_sigma)
         if sorted(self.default_sigma) != list(range(1, p + 1)):
             raise ValueError(f"default is not a permutation of 1..{p}")
+        for pt, aut in exceptions.items():
+            if aut.kind == "unram" and len(aut.sigma) != p:
+                raise ValueError(f"sigma at {pt.label} is not a permutation of 1..{p}")
         default = la.LocalAutomorphism.unram(self.default_sigma)
         self.exceptions = {
             pt: aut for pt, aut in exceptions.items() if aut != default

@@ -222,6 +222,35 @@ def test_json_of_the_wrong_shape_is_malformed(argv, capsys):
     assert captured.err == ""
 
 
+# a 3-cycle on four letters has order 3, but does not act on 1..3
+BAD_SIGMA = json.dumps(
+    {
+        "default_sigma": [2, 3, 1],
+        "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 3, 1, 4]}},
+    }
+)
+GOOD_G = json.dumps({"default_sigma": [2, 3, 1], "exceptions": {"a": {"kind": "ram", "a": 1}}})
+RAMIFIED_T = json.dumps({"default": "1", "points": {"a": "z"}})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--t", RAMIFIED_T, "--g", BAD_SIGMA],
+        ["tuple", "--t", RAMIFIED_T, "--g", BAD_SIGMA],
+        ["conjugation", "--t", RAMIFIED_T, "--g1", BAD_SIGMA, "--g2", GOOD_G],
+    ],
+)
+def test_split_sigma_not_on_1_to_p_is_malformed(argv, capsys):
+    code = cli.main(["--p", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "MalformedInput"
+    assert "not a permutation of 1..3" in error["message"]
+    assert captured.err == ""
+
+
 def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
 

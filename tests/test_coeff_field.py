@@ -211,6 +211,20 @@ def test_zeta_3_23_pinned():
     assert ctx.to_json() == tower_json(3, 23, ["202201200001"])
 
 
+@pytest.mark.parametrize(
+    "ell,p,zeta,step",
+    [
+        (5, 23, "L1:[0,1,2,4,1,2,4,2,2,2,0,3,4,4,1,3,4,4,0,1,2,4]", "34323204023414310423311"),
+        (7, 11, "L1:[0,6,2,5,0,6,4,3,4,1]", "52125552331"),
+    ],
+)
+def test_high_degree_zeta_pinned(ell, p, zeta, step):
+    # steps of degree 22 and 10, found by the Rabin test on random candidates
+    ctx = FieldCtx(ell, p)
+    assert elem_to_text(ctx.ensure_zeta()) == zeta
+    assert ctx.to_json() == tower_json(ell, p, [step])
+
+
 def test_zeta_2_47_pinned_without_a_level_scan():
     # the level has 2^23 elements: a scan of it takes tens of seconds
     code = (
@@ -329,6 +343,21 @@ def test_ctx_json_roundtrip():
     r1 = ctx.nth_root(ctx.elem(6), ctx.p)
     r2 = ctx2.nth_root(ctx2.elem(6), ctx2.p)
     assert r1 == r2
+
+
+def test_from_json_rejects_a_non_monic_step():
+    # 2X^2 + 2 is irreducible over F_7, but a step is reduced as a monic one
+    with pytest.raises(ValueError, match="not a monic polynomial"):
+        FieldCtx.from_json({"ell": 7, "p": 3, "tower": [["L0:[2]", "L0:[0]", "L0:[2]"]]})
+    with pytest.raises(ValueError, match="not a monic polynomial"):
+        FieldCtx.from_json({"ell": 7, "p": 3, "tower": [[]]})
+
+
+def test_irreducibility_rejects_a_coefficient_above_its_level():
+    ctx = FieldCtx(7, 3)
+    ctx.nth_root(ctx.elem(2), 3)
+    with pytest.raises(ValueError, match="not a monic polynomial over level 0"):
+        ctx.poly_is_irreducible(0, [FieldElem(1, (0, 1, 0)), ctx.one()])
 
 
 def test_invalid_ctx_rejected():

@@ -7,13 +7,21 @@ Euclid over the level below.  Canonical choices (zeta, roots, tower
 polynomials) are pinned to the literals the nested model produced.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adelic_kummer.coeff_field import FieldCtx, FieldElem, elem_from_text, elem_to_text
+from adelic_kummer.coeff_field import (
+    FieldCtx,
+    FieldElem,
+    _next_layout,
+    elem_from_text,
+    elem_to_text,
+    prime_factors,
+)
 
 # ----------------------------------------------------------------------
 # reference: the nested model
@@ -474,3 +482,158 @@ def test_rabin_matches_sympy(ell):
         # galoistools lists coefficients highest degree first
         want = sympy_gf.gf_irreducible_p([1] + low[::-1], ell, ZZ)
         assert ctx.poly_is_irreducible(0, poly) == want, (ell, low)
+
+
+# ----------------------------------------------------------------------
+# Rabin test against the polynomial arithmetic it replaced: schoolbook
+# products, remainders and gcds of polynomials in X over one level, as lists
+# of that level's kernel values (the layout K), lowest degree first
+
+
+def _ptrim(K, f):
+    while len(f) > 1 and f[-1] == K.zero:
+        f.pop()
+    return f
+
+
+def _psub(K, f, g):
+    z = K.zero
+    return [
+        K.add(f[i] if i < len(f) else z, K.neg(g[i]) if i < len(g) else z)
+        for i in range(max(len(f), len(g)))
+    ]
+
+
+def _pmul(K, f, g):
+    z = K.zero
+    out = [z] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x == z:
+            continue
+        for k, y in enumerate(g):
+            out[i + k] = K.add(out[i + k], K.mul(x, y))
+    return out
+
+
+def _pmod(K, f, g):
+    g = _ptrim(K, list(g))
+    lead_inv = K.inv(g[-1])
+    rem = list(f)
+    for k in range(len(rem) - len(g), -1, -1):
+        c = K.mul(rem[k + len(g) - 1], lead_inv)
+        if c == K.zero:
+            continue
+        for i, gc in enumerate(g):
+            rem[k + i] = K.add(rem[k + i], K.neg(K.mul(c, gc)))
+    return _ptrim(K, rem)
+
+
+def _pgcd(K, f, g):
+    a, b = _ptrim(K, list(f)), _ptrim(K, list(g))
+    while not (len(b) == 1 and b[0] == K.zero):
+        a, b = b, _pmod(K, a, b)
+    return a
+
+
+def _ppowmod(K, base, e: int, mod):
+    result = [K.one]
+    b = _pmod(K, list(base), mod)
+    while e:
+        if e & 1:
+            result = _pmod(K, _pmul(K, result, b), mod)
+        b = _pmod(K, _pmul(K, b, b), mod)
+        e >>= 1
+    return result
+
+
+def reference_is_irreducible(K, poly) -> bool:
+    """Rabin test: X^(q^d) = X mod f together with gcd(X^(q^(d/r)) - X, f)
+    = 1 for every prime r dividing d."""
+    f = _ptrim(K, list(poly))
+    d = len(f) - 1
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    q = K.size
+    x = [K.zero, K.one]
+    if _ptrim(K, _psub(K, _ppowmod(K, x, q**d, f), x)) != [K.zero]:
+        return False
+    for r in prime_factors(d):
+        h = _ptrim(K, _psub(K, _ppowmod(K, x, q ** (d // r), f), x))
+        if len(_pgcd(K, h, f)) != 1:
+            return False
+    return True
+
+
+def random_elem(ctx, level, rng):
+    return FieldElem(level, [rng.randrange(ctx.ell) for _ in range(ctx.abs_degree(level))])
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_rabin_matches_the_polynomial_reference(pair):
+    ctx, _ = tower(pair)
+    rng = random.Random(f"rabin-ref:{pair}")
+    for level in range(ctx.levels):
+        lay = ctx._layouts[level]
+        for _ in range(120 if level == 0 else 30):
+            degree = rng.randrange(1, 9 if level == 0 else 5)
+            poly = [random_elem(ctx, level, rng) for _ in range(degree)] + [ctx.one()]
+            want = reference_is_irreducible(lay, [lay.value(c) for c in poly])
+            assert ctx.poly_is_irreducible(level, poly) == want, (level, poly)
+
+
+def mobius(n):
+    factors = prime_factors(n)
+    if any(n % (r * r) == 0 for r in factors):
+        return 0
+    return (-1) ** len(factors)
+
+
+def gauss_count(q, d):
+    """The number of monic irreducible polynomials of degree d over F_q."""
+    return sum(mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+
+
+def field_of_size(q):
+    """A context and a level with q elements."""
+    ell, p, m = {2: (2, 3, 1), 3: (3, 2, 1), 4: (2, 3, 3), 9: (3, 2, 4), 16: (2, 5, 5)}[q]
+    ctx = FieldCtx(ell, p)
+    level = ctx.ensure_root_of_unity(m).level
+    assert ctx.level_size(level) == q
+    return ctx, level
+
+
+@pytest.mark.parametrize("q,top", [(2, 8), (3, 6), (4, 4), (9, 3), (16, 2)])
+def test_rabin_counts_match_gauss_formula(q, top):
+    # at q = 4, d = 4 the products of two irreducible quadratics also have
+    # X^(q^4) = X; only the unit check of X^(q^2) - X rejects them
+    ctx, level = field_of_size(q)
+    elems = [
+        FieldElem(level, flat)
+        for flat in itertools.product(range(ctx.ell), repeat=ctx.abs_degree(level))
+    ]
+    for d in range(1, top + 1):
+        count = sum(
+            ctx.poly_is_irreducible(level, list(low) + [ctx.one()])
+            for low in itertools.product(elems, repeat=d)
+        )
+        assert count == gauss_count(q, d), (q, d)
+
+
+@pytest.mark.parametrize("pair,level", [((7, 3), 0), ((2, 3), 1), ((11, 5), 1)])
+def test_inverse_of_a_non_unit_raises(pair, level):
+    # R = K[X]/((X - a)(X - b)) for a != b in K: X - a is a zero divisor,
+    # X - c for c outside {a, b} is a unit
+    ctx, _ = tower(pair)
+    K = ctx._layouts[level]
+    rng = random.Random(f"non-unit:{pair}")
+    a, b, c = (K.value(random_elem(ctx, level, rng)) for _ in range(3))
+    while len({a, b, c}) < 3:
+        b, c = (K.value(random_elem(ctx, level, rng)) for _ in range(2))
+    R = _next_layout(K, [K.mul(a, b), K.neg(K.add(a, b)), K.one])
+    x = R.lift((0,) * K.dims[-1] + (1,))
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.add(x, R.neg(R.lift(K.coords(a)))))
+    unit = R.add(x, R.neg(R.lift(K.coords(c))))
+    assert R.mul(unit, R.inv(unit)) == R.one
