@@ -117,7 +117,7 @@ class ValuationVector:
 
     def __repr__(self):
         body = ", ".join(f"{pt.label}: {v}" for pt, v in sorted(self.support.items()))
-        return f"ValuationVector(p={self.p}, {{{body}}})"
+        return f"{type(self).__name__}(p={self.p}, {{{body}}})"
 
     @property
     def is_trivial(self) -> bool:
@@ -136,6 +136,11 @@ class ValuationVector:
     def scale(self, b: int) -> "ValuationVector":
         return ValuationVector(self.p, {pt: b * v for pt, v in self.support.items()})
 
+    def ratio(self, other: "ValuationVector") -> int | None:
+        """The unit b of Z/(p) with self = b * other, or None if there is
+        none: 1 when both are trivial, and the only such b otherwise."""
+        return next((b for b in range(1, self.p) if self == other.scale(b)), None)
+
     def points(self) -> list[Point]:
         return sorted(self.support)
 
@@ -144,6 +149,9 @@ class ValuationVector:
 
     @classmethod
     def from_json(cls, p: int, data: dict) -> "ValuationVector":
+        for label, v in data.items():
+            if type(v) is not int:
+                raise ValueError(f"valuation at {label} must be an integer, got {v!r}")
         return cls(p, {Point(label): v for label, v in data.items()})
 
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from contextlib import suppress
 from math import comb, gcd
 from operator import attrgetter, lshift
 
@@ -590,8 +591,11 @@ class FieldCtx:
         return self._l0[1]
 
     def elem_from_text(self, text: str) -> FieldElem:
-        """Parse an ``L<k>:[...]`` literal that names a level of this tower
-        and carries that level's number of coordinates, each in [0, ell)."""
+        """Parse a bare integer, read mod ell, or an ``L<k>:[...]`` literal of
+        a level of this tower with that level's coordinates, each in [0, ell)."""
+        if not text.strip().startswith("L"):
+            with suppress(ValueError):
+                return self.elem(int(text))
         a = elem_from_text(text)
         dims = self._layouts[-1].dims
         if not (0 <= a.level < len(dims) and len(a.coeffs) == dims[a.level]):

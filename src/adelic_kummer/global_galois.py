@@ -10,14 +10,15 @@ The operations: transitivity/Galois checks, construction of eigenvector
 primitive elements, ramified-tuple invariants via the local Kummer
 pairing, Galois equivalence of subgroups, and explicit conjugations
 (phi, tau) with a pointwise verification of phi . g = tau(g) . phi.
+The ramified tuple is a valuation vector whose entries are units; Galois
+equivalence and the power k of tau(g1) = g2^k both come from
+``ValuationVector.ratio``, which also decides conjugacy in ``harrison``.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import adeles, laurent as ls, local_algebra as la
-from .adeles import Idele, Point
+from .adeles import Idele, Point, ValuationVector
 from .coeff_field import FieldCtx
 from .errors import NotEquivalent, NotGalois, NotTransitive
 
@@ -106,14 +107,6 @@ class GlobalAutomorphism:
             return False
         return all(aut.order(self.p) == 1 for aut in self.exceptions.values())
 
-    def order(self) -> int:
-        orders = [la.perm_order(self.default_sigma)]
-        orders.extend(aut.order(self.p) for aut in self.exceptions.values())
-        out = 1
-        for o in orders:
-            out = out * o // gcd(out, o)
-        return out
-
     def is_valid_for(self, t: Idele) -> bool:
         """Ramified points of t carry ramified components, all others split."""
         ram = set(adeles.ram_locus(t, self.p))
@@ -171,34 +164,21 @@ class Character:
         self.p = p
 
 
-class RamTuple:
-    """Invariant tuple over the ramified points, entries in (Z/(p))*."""
+class RamTuple(ValuationVector):
+    """Invariant tuple over the ramified points: a valuation vector whose
+    entries are units of Z/(p)."""
 
-    __slots__ = ("p", "entries")
+    __slots__ = ()
 
     def __init__(self, p: int, entries: dict):
         for pt, v in entries.items():
             if v % p == 0:
                 raise ValueError(f"tuple entry at {pt.label} must be nonzero mod {p}")
-        self.p = p
-        self.entries = {pt: v % p for pt, v in entries.items()}
+        super().__init__(p, entries)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RamTuple)
-            and self.p == other.p
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{pt.label}: {v}" for pt, v in sorted(self.entries.items()))
-        return f"RamTuple(p={self.p}, {{{body}}})"
-
-    def scale(self, b: int) -> "RamTuple":
-        return RamTuple(self.p, {pt: b * v for pt, v in self.entries.items()})
-
-    def to_json(self) -> dict:
-        return {pt.label: v for pt, v in sorted(self.entries.items())}
+    @property
+    def entries(self) -> dict:
+        return self.support
 
 
 # ----------------------------------------------------------------------
@@ -392,12 +372,7 @@ def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveE
 
 
 def _check_eigenvector(alpha: PrimitiveElement, t, G, chi):
-    ctx = t.ctx
-    zeta = ctx.ensure_zeta()
-    elem = alpha.as_algebra_element(t, prec=4)
-    image = elem.apply(G.generator, ctx)
-    scaled = elem.scale(ctx.pow(zeta, chi.s))
-    if not image.matches(scaled):
+    if not in_eigenspace(alpha.as_algebra_element(t, prec=4), G, chi, t.ctx):
         raise AssertionError("constructed eigenvector fails g(alpha) = chi(g) alpha")
 
 
@@ -416,14 +391,8 @@ def ram_tuple(G: CyclicSubgroup, t: Idele) -> RamTuple:
 
 
 def galois_equivalent(G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele) -> bool:
-    """Equality of the ramified projections, decided on tuple orbits."""
-    return _same_orbit(ram_tuple(G1, t), ram_tuple(G2, t))
-
-
-def _same_orbit(tup1: RamTuple, tup2: RamTuple) -> bool:
-    if not tup1.entries and not tup2.entries:
-        return True
-    return any(tup1 == tup2.scale(b) for b in range(1, tup1.p))
+    """Equality of the ramified projections: the tuples agree up to a unit."""
+    return ram_tuple(G1, t).ratio(ram_tuple(G2, t)) is not None
 
 
 class Conjugation:
@@ -482,16 +451,10 @@ def construct_conjugation(
     G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele, chi1: Character
 ) -> Conjugation:
     """Build (phi, tau) conjugating the two Galois structures over t."""
-    tup1 = ram_tuple(G1, t)
-    tup2 = ram_tuple(G2, t)
-    if not _same_orbit(tup1, tup2):
+    k = ram_tuple(G1, t).ratio(ram_tuple(G2, t))
+    if k is None:
         raise NotEquivalent("subgroups differ on the ramified projection")
     p = G1.p
-    if tup1.entries:
-        pt = next(iter(tup1.entries))
-        k = (tup1.entries[pt] * pow(tup2.entries[pt], -1, p)) % p
-    else:
-        k = 1
     alpha1 = primitive_element(t, G1, chi1)
     alpha2 = primitive_element(t, G2, Character(chi1.s * pow(k, -1, p), p))
     for pt, b1 in alpha1.ram_exponents.items():

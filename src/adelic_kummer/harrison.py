@@ -6,6 +6,8 @@ primitive element, equivariant isomorphism is vector equality, and
 conjugacy is equality up to a unit scalar of Z/(p).  The group law is
 computed in vector coordinates; the canonical representative of a
 conjugacy class scales the first nonzero entry (in point order) to 1.
+Conjugacy shares its scalar search, ``ValuationVector.ratio``, with Galois
+equivalence on ramified tuples, valuation vectors whose entries are units.
 """
 
 from __future__ import annotations
@@ -102,12 +104,7 @@ def conjugate(c1: ExtensionClass, c2: ExtensionClass) -> bool:
 
 def conjugating_scalar(c1: ExtensionClass, c2: ExtensionClass) -> int | None:
     """b with c1 = b * c2, when one exists."""
-    if c1.vec.is_trivial and c2.vec.is_trivial:
-        return 1
-    for b in range(1, c1.p):
-        if c1.vec == c2.vec.scale(b):
-            return b
-    return None
+    return c1.vec.ratio(c2.vec)
 
 
 def algebra_isomorphic(t1: Idele, t2: Idele, n: int) -> bool:

@@ -371,12 +371,12 @@ def from_text(ctx: FieldCtx, text: str, prec: int = DEFAULT_PREC) -> LaurentSeri
             piece = piece[1:].strip()
         if "*" in piece:
             c_txt, _, mono = piece.partition("*")
-            coeff = _parse_coeff(ctx, c_txt.strip())
+            coeff = ctx.elem_from_text(c_txt)
             k = _parse_zexp(mono.strip())
         elif piece.startswith("z"):
             coeff, k = ctx.one(), _parse_zexp(piece)
         else:
-            coeff, k = _parse_coeff(ctx, piece), 0
+            coeff, k = ctx.elem_from_text(piece), 0
         if negate:
             coeff = ctx.neg(coeff)
         window[k] = ctx.add(window.get(k, ctx.zero()), coeff)
@@ -393,9 +393,3 @@ def _parse_zexp(token: str) -> int:
     if token.startswith("z^"):
         return int(token[2:])
     raise ValueError(f"bad z-monomial: {token!r}")
-
-
-def _parse_coeff(ctx: FieldCtx, token: str) -> FieldElem:
-    if token.startswith("L"):
-        return ctx.elem_from_text(token)
-    return ctx.elem(int(token))

@@ -219,7 +219,11 @@ class LocalAutomorphism:
     @classmethod
     def from_json(cls, data: dict, p: int) -> "LocalAutomorphism":
         if data["kind"] == "ram":
+            if type(data["a"]) is not int:
+                raise ValueError(f"ramified exponent 'a' must be an integer, got {data['a']!r}")
             return cls.ram(data["a"], p)
+        if not all(type(v) is int for v in data["sigma"]):
+            raise ValueError(f"'sigma' must list integers, got {data['sigma']!r}")
         return cls.unram(data["sigma"])
 
 

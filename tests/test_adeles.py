@@ -125,3 +125,31 @@ def test_idele_json_roundtrip(ctx):
     assert data["p"] == 3 and data["points"]["0"] == "z^1*(1)"
     back = adeles.idele_from_json(ctx, data, prec=16)
     assert adeles.idele_eq(back, t)
+
+
+def test_ratio_against_a_scan():
+    rng = random.Random(16)
+    labels = ["x0", "x1", "x2", "x3"]
+
+    def random_vector(p):
+        return ValuationVector(p, {Point(lbl): rng.randrange(p) for lbl in rng.sample(labels, rng.randrange(4))})
+
+    for p in (2, 3, 5, 7):
+        trivial, point = ValuationVector(p, {}), ValuationVector(p, {Point("x0"): 1})
+        assert trivial.ratio(trivial) == 1
+        assert trivial.ratio(point) is None and point.ratio(trivial) is None
+        for _ in range(60):
+            v = random_vector(p)
+            u = v.scale(rng.randrange(1, p)) if rng.random() < 0.5 else random_vector(p)
+            # the units b with u = b * v, on plain dicts
+            scan = [
+                b for b in range(1, p)
+                if u.support == {pt: b * x % p for pt, x in v.support.items()}
+            ]
+            assert u.ratio(v) == (scan[0] if scan else None)
+            if u.is_trivial and v.is_trivial:
+                assert scan == list(range(1, p))
+            else:
+                assert len(scan) <= 1
+            if scan:
+                assert v.ratio(u) == pow(scan[0], -1, p)

@@ -251,6 +251,81 @@ def test_split_sigma_not_on_1_to_p_is_malformed(argv, capsys):
     assert captured.err == ""
 
 
+RAM_G = {"default_sigma": [2, 3, 1], "exceptions": {"0": {"kind": "ram", "a": 1}, "1": {"kind": "ram", "a": 1}}}
+
+
+def with_exception(label, aut):
+    return json.dumps({"default_sigma": [2, 3, 1], "exceptions": dict(RAM_G["exceptions"], **{label: aut})})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # read as 1.5 and answered with rc 0 before
+        (["product", "--a", '{"a": 1.5}', "--b", '{"b": 1}'], "valuation at a must be an integer, got 1.5"),
+        (["conjugate", "--a", '{"a": 1.5}', "--b", '{"a": 3.0}'], "valuation at a must be an integer"),
+        (["conjugate", "--a", '{"a": true}', "--b", '{"a": 1}'], "valuation at a must be an integer, got True"),
+        (["conjugate", "--a", '{"a": 1}', "--b", '{"x0": "1"}'], "valuation at x0 must be an integer"),
+        # "generator order does not divide p" before
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("0", {"kind": "ram", "a": 1.5})],
+         "ramified exponent 'a' must be an integer, got 1.5"),
+        (["classify", "--t", "@idele_z.json", "--g", with_exception("0", {"kind": "ram", "a": False})],
+         "ramified exponent 'a' must be an integer"),
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("u", {"kind": "unram", "sigma": [3.0, 1.0, 2.0]})],
+         "'sigma' must list integers"),
+    ],
+)
+def test_a_non_integer_in_json_is_malformed(argv, message, capsys):
+    argv = [data_path(a[1:]) if a.startswith("@") else a for a in argv]
+    code = cli.main(["--p", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "MalformedInput"
+    assert message in error["message"]
+    assert captured.err == ""
+
+
+def superelliptic_argv(constant, roots):
+    f = {"constant": constant, "factors": [{"root": r, "exp": e} for r, e in zip(roots, (1, 2))]}
+    return ["--ell", "7", "--p", "3", "--prec", "8", "superelliptic", "--f", json.dumps(f)]
+
+
+def test_bare_integers_are_field_elements_in_superelliptic_input(capsys):
+    code, literal = run_cli(superelliptic_argv("L0:[1]", ["L0:[0]", "L0:[1]"]), capsys)
+    assert code == 0
+    assert run_cli(superelliptic_argv("1", ["L0:[0]", "L0:[1]"]), capsys) == (0, literal)
+    assert run_cli(superelliptic_argv("8", ["0", "1"]), capsys) == (0, literal)
+    assert run_cli(superelliptic_argv("-6", ["7", "1"]), capsys) == (0, literal)  # read mod 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        superelliptic_argv("x", ["L0:[0]", "L0:[1]"]),
+        superelliptic_argv("L0:[1]", ["1.0", "L0:[1]"]),
+        ["--p", "3", "pairing", "--a", "1", "--lam", "x*z", "--t", "z"],
+        ["--p", "3", "pairing", "--a", "1", "--lam", "z", "--t", "1*z + y"],
+    ],
+)
+def test_any_other_field_token_is_a_bad_literal(argv, capsys):
+    code, body = run_cli(argv, capsys)
+    assert code == 1
+    assert body["error"]["code"] == "MalformedInput"
+    assert "bad field element literal" in body["error"]["message"]
+
+
+def test_conjugation_of_inequivalent_subgroups_exits_2(capsys):
+    # tuples (1, 2) and (1, 1): no unit scales one to the other
+    g2 = with_exception("1", {"kind": "ram", "a": 2})
+    argv = ["--p", "3", "conjugation", "--t", data_path("idele_z.json"), "--g1", json.dumps(RAM_G), "--g2", g2]
+    code, body = run_cli(argv, capsys)
+    assert code == 2
+    assert body["error"] == {"code": "NotEquivalent", "message": "subgroups differ on the ramified projection"}
+    code, body = run_cli(["--p", "3", "equivalent", *argv[3:]], capsys)
+    assert (code, body["outputs"]) == (0, {"verdict": False})
+
+
 def test_usage_error(capsys):
     assert cli.main(["--p", "3", "no-such-verb"]) == 1
 

@@ -7,7 +7,11 @@ were recorded later, before products with a monomial or trimmed operand
 and the binomial germs went in, and pin that those changed no output.
 The ``pairing_*`` requests, each with a class that is not a unit times a
 p-th power (c != 0), were recorded before the pairing oracle was rebuilt
-on ``LocalPart`` and pin that the rebuild changed no output.  Only
+on ``LocalPart`` and pin that the rebuild changed no output.  The
+``conjugate_trivial_*``, ``equivalent_p5_false`` and ``tuple_p5`` requests
+were recorded before the ramified tuple became a valuation vector and
+conjugacy and Galois equivalence came to share one scalar search, and pin
+that this changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -32,6 +36,12 @@ def superelliptic(ell, p, constant, factors, *flags):
     f = {"constant": constant, "factors": [{"root": r, "exp": e} for r, e in factors]}
     return ["--ell", str(ell), "--p", str(p), "--prec", "8", "superelliptic", "--f", json.dumps(f), *flags]
 
+
+# an idele over four points at p = 5, three of them ramified, and two
+# subgroups whose ramified tuples (1, 4, 2) and (2, 3, 3) are not proportional
+T_P5 = {"default": "1", "points": {"a": "z^1*(3 + 1*z)", "b": "z^2*(1 + 5*z^3)", "c": "z^-3*(2 + 1*z)", "d": "z^5*(4)"}}
+G1_P5 = {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 3}, "c": {"kind": "ram", "a": 4}}}
+G2_P5 = {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 1}, "c": {"kind": "ram", "a": 1}, "d": {"kind": "unram", "sigma": [5, 1, 2, 3, 4]}}}
 
 REQUESTS = {
     "classify_standard": ["--p", "3", "--prec", "8", "classify", "--t", "@idele_z.json", "--g", "@aut_standard.json", "--s", "1"],
@@ -67,6 +77,11 @@ REQUESTS = {
     "superelliptic_p5_gcd2": superelliptic(11, 5, "L0:[6]", [("L0:[0]", 2), ("L0:[3]", 2), ("L0:[7]", 2), ("L0:[9]", 4)]),
     # a negative exponent and a ramified infinity
     "superelliptic_p5_lenient": superelliptic(11, 5, "L0:[2]", [("L0:[1]", 3), ("L0:[4]", -1), ("L0:[5]", 4)], "--lenient"),
+    "conjugate_trivial_trivial": ["--p", "3", "conjugate", "--a", "{}", "--b", "{}"],
+    "conjugate_trivial_nontrivial": ["--p", "3", "conjugate", "--a", "{}", "--b", '{"x0": 1}'],
+    "equivalent_p5_false": ["--ell", "11", "--p", "5", "--prec", "8", "equivalent", "--t", json.dumps(T_P5),
+        "--g1", json.dumps(G1_P5), "--g2", json.dumps(G2_P5)],
+    "tuple_p5": ["--ell", "11", "--p", "5", "--prec", "8", "tuple", "--t", json.dumps(T_P5), "--g", json.dumps(G1_P5)],
     "selftest_p2": ["--ell", "7", "--p", "2", "--prec", "8", "selftest"],
     "selftest_p3": ["--ell", "7", "--p", "3", "--prec", "8", "selftest"],
     "selftest_p5": ["--ell", "11", "--p", "5", "--prec", "8", "selftest"],
@@ -77,12 +92,15 @@ EXPECTED = json.loads(
  "classify_standard": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
  "classify_twisted": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
  "conjugate": {"outputs": {"b": 2, "verdict": true}, "rc": 0},
+ "conjugate_trivial_nontrivial": {"outputs": {"b": null, "verdict": false}, "rc": 0},
+ "conjugate_trivial_trivial": {"outputs": {"b": 1, "verdict": true}, "rc": 0},
  "conjugation": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p2": {"outputs": {"default_perm": [1, 2], "split_perms": {}, "tau_power": 1, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p3": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {"u": [1, 3, 2]}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p5": {"outputs": {"default_perm": [1, 2, 3, 4, 5], "split_perms": {"c": [1, 4, 2, 5, 3]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p5_unram": {"outputs": {"default_perm": [1, 5, 4, 3, 2], "split_perms": {"d": [1, 4, 2, 5, 3], "u": [1, 3, 5, 2, 4]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "equivalent": {"outputs": {"verdict": true}, "rc": 0},
+ "equivalent_p5_false": {"outputs": {"verdict": false}, "rc": 0},
  "isom": {"outputs": {"profile_a": {"0": 3, "1": 3}, "profile_b": {"0": 3, "1": 3}, "verdict": true}, "rc": 0},
  "pairing": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[2]"}, "rc": 0},
  "pairing_ell3_p5": {"outputs": {"log": 4, "oracle_agrees": true, "pair": "L1:[1,1,1,0]"}, "rc": 0},
@@ -98,6 +116,7 @@ EXPECTED = json.loads(
  "superelliptic_p5_lenient": {"outputs": {"admissible": false, "class": {"1": 1, "4": 3, "5": 3, "\u221e": 3}, "ram": ["1", "4", "5", "\u221e"], "vec": {"1": 3, "4": 4, "5": 4, "\u221e": 4}}, "rc": 0},
  "superelliptic_x_xm1sq": {"outputs": {"admissible": true, "class": {"0": 1, "1": 2}, "ram": ["0", "1"], "vec": {"0": 1, "1": 2}}, "rc": 0},
  "tuple_standard": {"outputs": {"tuple": {"0": 1, "1": 2}}, "rc": 0},
+ "tuple_p5": {"outputs": {"tuple": {"a": 1, "b": 4, "c": 2}}, "rc": 0},
  "tuple_twisted": {"outputs": {"tuple": {"0": 2, "1": 1}}, "rc": 0}
 }"""
 )

@@ -1,5 +1,6 @@
 """Pointwise transitivity, primitive elements, tuples, conjugations."""
 
+import itertools
 import random
 
 import pytest
@@ -371,3 +372,77 @@ def test_subgroup_rejects_bad_generators(ctx):
     g = gg.GlobalAutomorphism(3, {}, (2, 1, 3))  # order 2, p = 3
     with pytest.raises(ValueError):
         gg.CyclicSubgroup(g, 3)
+
+
+def test_ram_tuple_is_a_valuation_vector_of_units():
+    a, b = Point("a"), Point("b")
+    with pytest.raises(ValueError, match="tuple entry at b must be nonzero mod 5"):
+        gg.RamTuple(5, {a: 1, b: 10})
+    tup = gg.RamTuple(5, {a: 6, b: 3})
+    assert isinstance(tup, adeles.ValuationVector)
+    assert tup.entries == {a: 1, b: 3}
+    assert tup.to_json() == {"a": 1, "b": 3}
+    assert repr(tup) == "RamTuple(p=5, {a: 1, b: 3})"
+    for k in range(1, 5):
+        assert tup.scale(k) == gg.RamTuple(5, {a: k, b: 3 * k})
+        assert tup.scale(k).ratio(tup) == k
+    assert gg.RamTuple(5, {}).ratio(gg.RamTuple(5, {})) == 1
+
+
+def accepted_powers(g1, g2, p, ram, split):
+    """Every k in (Z/p)* for which some phi has phi g1 phi^-1 = g2^k, by
+    enumerating phi: an exponent in Z/(p) at each ramified point and a
+    permutation in S_p at each split exception and at the default."""
+    perms = list(itertools.permutations(range(1, p + 1)))
+    conjugates = set()
+    for exps in itertools.product(range(p), repeat=len(ram)):
+        for sigmas in itertools.product(perms, repeat=len(split) + 1):
+            exceptions = {pt: la.LocalAutomorphism.ram(e, p) for pt, e in zip(ram, exps)}
+            exceptions.update((pt, la.LocalAutomorphism.unram(s)) for pt, s in zip(split, sigmas))
+            phi = gg.GlobalAutomorphism(p, exceptions, sigmas[-1])
+            conjugates.add(phi.compose(g1).compose(phi.inverse()))
+    return {k for k in range(1, p) if g2.power(k) in conjugates}
+
+
+def test_galois_equivalence_against_brute_force_conjugation():
+    rng = random.Random(11)
+    seen = set()
+    for p, count in ((2, 15), (3, 40)):
+        ctx = FieldCtx(7, p)
+        for i in range(count):
+            ram = sorted(Point(lbl) for lbl in rng.sample("abc", i % 3))
+            exceptions = {
+                pt: ls.series(ctx, rng.choice([v for v in range(-4, 5) if v % p]), [rng.randrange(1, 7), 1])
+                for pt in ram
+            }
+            exceptions[Point("d")] = ls.series(ctx, p, [rng.randrange(1, 7)])  # unramified
+            t = Idele(exceptions, ls.one(ctx, 2))
+            split = [Point(rng.choice("du"))] if rng.random() < 0.7 else []
+
+            def generator(exps):
+                ex = {pt: la.LocalAutomorphism.ram(exps[pt], p) for pt in ram}
+                for pt in split:
+                    if rng.random() < 0.7:
+                        ex[pt] = la.LocalAutomorphism.unram(la.perm_power(gg.standard_p_cycle(p), rng.randrange(1, p)))
+                sigma = la.perm_power(gg.standard_p_cycle(p), rng.randrange(1, p))
+                return gg.CyclicSubgroup(gg.GlobalAutomorphism(p, ex, sigma), p)
+
+            exps1 = {pt: rng.randrange(1, p) for pt in ram}
+            k = rng.randrange(1, p)
+            exps2 = (
+                {pt: e * k % p for pt, e in exps1.items()} if rng.random() < 0.5
+                else {pt: rng.randrange(1, p) for pt in ram}
+            )
+            G1, G2 = generator(exps1), generator(exps2)
+            accepted = accepted_powers(G1.generator, G2.generator, p, ram, split)
+            verdict = bool(accepted)
+            assert gg.galois_equivalent(G1, G2, t) == verdict
+            assert gg.galois_equivalent(G2, G1, t) == verdict
+            seen.add((p, verdict))
+            if verdict:
+                phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
+                assert phi.k in accepted
+            else:
+                with pytest.raises(NotEquivalent):
+                    gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
+    assert seen == {(2, True), (3, True), (3, False)}
