@@ -9,7 +9,8 @@ quantify over.
 The operations: transitivity/Galois checks, construction of eigenvector
 primitive elements, ramified-tuple invariants via the local Kummer
 pairing, Galois equivalence of subgroups, and explicit conjugations
-(phi, tau) with a pointwise verification of phi . g = tau(g) . phi.
+(phi, tau).  phi is itself a global automorphism, so phi . g = tau(g) . phi
+is verified exactly, as an equality of two finite descriptions.
 The ramified tuple is a valuation vector whose entries are units; Galois
 equivalence and the power k of tau(g1) = g2^k both come from
 ``ValuationVector.ratio``, which also decides conjugacy in ``harrison``.
@@ -129,11 +130,16 @@ class GlobalAutomorphism:
 
     @classmethod
     def from_json(cls, data: dict, p: int) -> "GlobalAutomorphism":
+        sigma, exceptions = data["default_sigma"], data.get("exceptions", {})
+        if not all(type(v) is int for v in sigma):
+            raise ValueError(f"'default_sigma' must list integers, got {sigma!r}")
+        if not isinstance(exceptions, dict):
+            raise ValueError(f"'exceptions' must be an object, got {exceptions!r}")
         exceptions = {
             Point(label): la.LocalAutomorphism.from_json(aut, p)
-            for label, aut in data.get("exceptions", {}).items()
+            for label, aut in exceptions.items()
         }
-        return cls(p, exceptions, tuple(data["default_sigma"]))
+        return cls(p, exceptions, tuple(sigma))
 
 
 class CyclicSubgroup:
@@ -257,22 +263,6 @@ class AlgebraElement:
             if not self.part_at(pt).matches(other.part_at(pt)):
                 return False
         return True
-
-
-def random_sample(t: Idele, p: int, rng, prec: int = 6) -> AlgebraElement:
-    """A random algebra element over t: random series T-polynomials at the
-    ramified points and nonzero constant split coordinates elsewhere."""
-    ctx, ell = t.ctx, t.ctx.ell
-
-    def coeffs():
-        return [rng.randrange(1, ell)] + [rng.randrange(ell) for _ in range(prec - 1)]
-
-    parts = {
-        pt: la.LocalPart("ram", [ls.series(ctx, rng.randrange(-1, 2), coeffs()) for _ in range(p)])
-        for pt in adeles.ram_locus(t, p)
-    }
-    default = [ls.constant(ctx, ctx.elem(rng.randrange(1, ell)), prec) for _ in range(p)]
-    return AlgebraElement(p, parts, la.LocalPart("split", default))
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +389,9 @@ class Conjugation:
     """Descriptor of a conjugating pair: tau(g1) = g2^k, and phi acting as
     the identity at ramified points and a coordinate permutation rho at
     split points, with phi(alpha1) = u alpha2 on primitive elements; the
-    constructed u is always the unit idele, kept for the JSON."""
+    constructed u is always the unit idele, kept for the JSON.  As a map,
+    phi is ``automorphism()``, and ``verify_conjugation`` checks it exactly
+    on that description."""
 
     __slots__ = ("p", "k", "u", "split_perms", "default_perm", "alpha1", "alpha2")
 
@@ -412,22 +404,12 @@ class Conjugation:
         self.alpha1 = alpha1
         self.alpha2 = alpha2
 
-    def perm_at(self, pt: Point):
-        return self.split_perms.get(pt, self.default_perm)
-
-    def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        parts = {}
-        for pt in set(elem.parts) | set(self.split_perms):
-            part = elem.part_at(pt)
-            if part.kind == "ram":
-                parts[pt] = part
-            else:
-                parts[pt] = part.apply(la.LocalAutomorphism.unram(self.perm_at(pt)))
-        return AlgebraElement(
-            elem.p,
-            parts,
-            elem.default.apply(la.LocalAutomorphism.unram(self.default_perm)),
-        )
+    def automorphism(self) -> GlobalAutomorphism:
+        """phi with exponent 0 at ramified points; a rho equal to
+        ``default_perm`` is pruned here but stays in the JSON."""
+        exceptions = {pt: la.LocalAutomorphism.ram(0, self.p) for pt in self.alpha1.ram_exponents}
+        exceptions.update((pt, la.LocalAutomorphism.unram(rho)) for pt, rho in self.split_perms.items())
+        return GlobalAutomorphism(self.p, exceptions, self.default_perm)
 
     def to_json(self) -> dict:
         return {
@@ -471,20 +453,16 @@ def construct_conjugation(
 
 
 def verify_conjugation(
-    phi: Conjugation, G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele, samples
+    phi: Conjugation, G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele
 ) -> bool:
-    """Check phi . g = tau(g) . phi on the given algebra elements, and
-    phi(alpha1) = alpha2 on the primitive elements (u is 1).  phi permutes
-    split coordinates and fixes ramified parts, so it is a ring map by
-    construction and its multiplicativity needs no check."""
-    ctx = t.ctx
-    tau_g1 = G2.generator.power(phi.k)
-    for sample in samples:
-        lhs = phi.apply(sample.apply(G1.generator, ctx))
-        rhs = phi.apply(sample).apply(tau_g1, ctx)
-        if not lhs.matches(rhs):
-            return False
-    image = phi.apply(phi.alpha1.as_algebra_element(t))
+    """Check phi . g1 = g2^k . phi exactly, as equal descriptions (a
+    description fixes the action at every point), then phi(alpha1) = alpha2
+    (u is 1).  phi permutes split coordinates and fixes ramified parts, so
+    it is a ring map by construction and its multiplicativity needs no check."""
+    aut = phi.automorphism()
+    if aut.compose(G1.generator) != G2.generator.power(phi.k).compose(aut):
+        return False
+    image = phi.alpha1.as_algebra_element(t).apply(aut, t.ctx)
     return image.matches(phi.alpha2.as_algebra_element(t))
 
 

@@ -24,7 +24,8 @@ from .errors import NotAdmissible, PthPower
 
 
 class RationalFunction:
-    """constant * prod (x - root)^exp with distinct roots, nonzero exps."""
+    """constant * prod (x - root)^exp with distinct roots, nonzero exps.
+    ``factors`` maps roots to exponents, or lists (root, exp) pairs."""
 
     __slots__ = ("ctx", "constant", "factors")
 
@@ -34,9 +35,9 @@ class RationalFunction:
         self.ctx = ctx
         self.constant = constant
         normalized = {}
-        for root, exp in factors.items():
-            if exp == 0:
-                raise ValueError("factor exponents must be nonzero")
+        for root, exp in factors.items() if isinstance(factors, dict) else factors:
+            if type(exp) is not int or exp == 0:
+                raise ValueError(f"factor 'exp' must be a nonzero integer, got {exp!r}")
             key = ctx.project(root)
             if key in normalized:
                 raise ValueError(f"repeated root {key!r}")
@@ -58,7 +59,7 @@ class RationalFunction:
     @classmethod
     def from_json(cls, ctx: FieldCtx, data: dict) -> "RationalFunction":
         constant = ctx.elem_from_text(data["constant"])
-        factors = {ctx.elem_from_text(f["root"]): f["exp"] for f in data["factors"]}
+        factors = [(ctx.elem_from_text(f["root"]), f["exp"]) for f in data["factors"]]
         return cls(ctx, constant, factors)
 
 

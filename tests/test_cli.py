@@ -258,6 +258,11 @@ def with_exception(label, aut):
     return json.dumps({"default_sigma": [2, 3, 1], "exceptions": dict(RAM_G["exceptions"], **{label: aut})})
 
 
+def superelliptic_request(factors):
+    f = {"constant": "1", "factors": [{"root": r, "exp": e} for r, e in factors]}
+    return ["superelliptic", "--f", json.dumps(f)]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -273,6 +278,22 @@ def with_exception(label, aut):
          "ramified exponent 'a' must be an integer"),
         (["tuple", "--t", "@idele_z.json", "--g", with_exception("u", {"kind": "unram", "sigma": [3.0, 1.0, 2.0]})],
          "'sigma' must list integers"),
+        # read as [2, 3, 1] with rc 0 before
+        (["tuple", "--t", "@idele_z.json", "--g", '{"default_sigma": [2, 3, true]}'],
+         "'default_sigma' must list integers, got [2, 3, True]"),
+        # "tuple indices must be integers" before
+        (["tuple", "--t", "@idele_z.json", "--g", '{"default_sigma": [2.0, 3.0, 1.0]}'],
+         "'default_sigma' must list integers"),
+        # an AttributeError text before
+        (["classify", "--t", "@idele_z.json", "--g", '{"default_sigma": [2, 3, 1], "exceptions": [1]}'],
+         "'exceptions' must be an object, got [1]"),
+        # read as 1 with rc 0 before
+        (superelliptic_request([("0", True), ("1", 2)]), "factor 'exp' must be a nonzero integer, got True"),
+        # Python's TypeError text before
+        (superelliptic_request([("0", 1.0), ("1", 2)]), "factor 'exp' must be a nonzero integer, got 1.0"),
+        # the last exponent kept, "exponent sum 2" with rc 2 before
+        (superelliptic_request([("0", 1), ("0", 2)]), "repeated root L0:[0]"),
+        (superelliptic_request([("0", 1), ("7", 2)]), "repeated root L0:[0]"),
     ],
 )
 def test_a_non_integer_in_json_is_malformed(argv, message, capsys):

@@ -11,7 +11,10 @@ on ``LocalPart`` and pin that the rebuild changed no output.  The
 ``conjugate_trivial_*``, ``equivalent_p5_false`` and ``tuple_p5`` requests
 were recorded before the ramified tuple became a valuation vector and
 conjugacy and Galois equivalence came to share one scalar search, and pin
-that this changed no output.  Only
+that this changed no output.  ``conjugation_split_equals_default``, whose
+split permutation equals the default one, and ``selftest_p7`` were
+recorded before a conjugation came to be verified on its description
+instead of on random samples, and pin that this changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -82,9 +85,14 @@ REQUESTS = {
     "equivalent_p5_false": ["--ell", "11", "--p", "5", "--prec", "8", "equivalent", "--t", json.dumps(T_P5),
         "--g1", json.dumps(G1_P5), "--g2", json.dumps(G2_P5)],
     "tuple_p5": ["--ell", "11", "--p", "5", "--prec", "8", "tuple", "--t", json.dumps(T_P5), "--g", json.dumps(G1_P5)],
+    # split_perms lists u with the default permutation
+    "conjugation_split_equals_default": conj(7, 3, {"a": "z^1*(1 + 1*z)"},
+        {"default_sigma": [2, 3, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [3, 1, 2]}}},
+        {"default_sigma": [3, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 3, 1]}}}),
     "selftest_p2": ["--ell", "7", "--p", "2", "--prec", "8", "selftest"],
     "selftest_p3": ["--ell", "7", "--p", "3", "--prec", "8", "selftest"],
     "selftest_p5": ["--ell", "11", "--p", "5", "--prec", "8", "selftest"],
+    "selftest_p7": ["--ell", "29", "--p", "7", "--prec", "8", "selftest"],
 }
 
 EXPECTED = json.loads(
@@ -98,6 +106,7 @@ EXPECTED = json.loads(
  "conjugation_p2": {"outputs": {"default_perm": [1, 2], "split_perms": {}, "tau_power": 1, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p3": {"outputs": {"default_perm": [1, 2, 3], "split_perms": {"u": [1, 3, 2]}, "tau_power": 2, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p5": {"outputs": {"default_perm": [1, 2, 3, 4, 5], "split_perms": {"c": [1, 4, 2, 5, 3]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
+ "conjugation_split_equals_default": {"outputs": {"default_perm": [1, 3, 2], "split_perms": {"u": [1, 3, 2]}, "tau_power": 1, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "conjugation_p5_unram": {"outputs": {"default_perm": [1, 5, 4, 3, 2], "split_perms": {"d": [1, 4, 2, 5, 3], "u": [1, 3, 5, 2, 4]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "equivalent": {"outputs": {"verdict": true}, "rc": 0},
  "equivalent_p5_false": {"outputs": {"verdict": false}, "rc": 0},
@@ -110,6 +119,7 @@ EXPECTED = json.loads(
  "selftest_p2": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
  "selftest_p3": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}, {"name": "superelliptic_example", "ok": true}], "failed": 0, "passed": 7}, "rc": 0},
  "selftest_p5": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
+ "selftest_p7": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
  "superelliptic_cubic_shifted": {"outputs": {"admissible": true, "class": {"2": 1, "3": 1, "4": 1}, "ram": ["2", "3", "4"], "vec": {"2": 1, "3": 1, "4": 1}}, "rc": 0},
  "superelliptic_p2": {"outputs": {"admissible": true, "class": {"0": 1, "2": 1, "4": 1, "6": 1}, "ram": ["0", "2", "4", "6"], "vec": {"0": 1, "2": 1, "4": 1, "6": 1}}, "rc": 0},
  "superelliptic_p5_gcd2": {"outputs": {"admissible": true, "class": {"0": 1, "3": 1, "7": 1, "9": 2}, "ram": ["0", "3", "7", "9"], "vec": {"0": 2, "3": 2, "7": 2, "9": 4}}, "rc": 0},
