@@ -6,7 +6,7 @@ Modules:
     adeles         finite-support ideles/adeles, valuation vectors, ramification
     local_algebra  structure of K_x[T]/(T^n - t_x), local isomorphisms, pairings
     global_galois  global automorphisms, Galois checks, primitive elements
-    harrison       classification, conjugacy, and isomorphism deciders
+    harrison       classification into valuation vectors, conjugacy classes
     p1_ingest      rational functions on the projective line, superelliptic covers
     cli            JSON command-line front end
 """

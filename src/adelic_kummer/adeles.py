@@ -14,7 +14,7 @@ from math import gcd
 
 from . import laurent as ls
 from .coeff_field import FieldCtx
-from .errors import ZeroComponent
+from .errors import ZeroComponent, json_value
 
 INF_LABEL = "∞"
 
@@ -149,10 +149,10 @@ class ValuationVector:
 
     @classmethod
     def from_json(cls, p: int, data: dict) -> "ValuationVector":
-        for label, v in data.items():
-            if type(v) is not int:
-                raise ValueError(f"valuation at {label} must be an integer, got {v!r}")
-        return cls(p, {Point(label): v for label, v in data.items()})
+        return cls(p, {
+            Point(label): json_value(v, int, f"valuation at {label}")
+            for label, v in json_value(data, dict, "valuation vector").items()
+        })
 
 
 class RamProfile:
@@ -259,9 +259,10 @@ def idele_to_json(t: Idele, p: int | None = None) -> dict:
 
 
 def idele_from_json(ctx: FieldCtx, data: dict, prec: int = ls.DEFAULT_PREC) -> Idele:
-    default = ls.from_text(ctx, data.get("default", "1"), prec)
+    json_value(data, dict, "idele")
+    default = ls.from_text(ctx, json_value(data.get("default", "1"), str, "'default'"), prec)
     exceptions = {
-        Point(label): ls.from_text(ctx, text, prec)
-        for label, text in data.get("points", {}).items()
+        Point(label): ls.from_text(ctx, json_value(text, str, f"component at {label}"), prec)
+        for label, text in json_value(data.get("points", {}), dict, "'points'").items()
     }
     return Idele(exceptions, default)

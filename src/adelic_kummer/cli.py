@@ -163,8 +163,7 @@ def run(args) -> dict:
     if args.command == "classify":
         t = adeles.idele_from_json(ctx, _read_json(args.t), prec)
         G = _subgroup(_read_json(args.g), p)
-        c = hr.classify(t, G, gg.Character(args.s, p))
-        return {"vector": c.vec.to_json()}
+        return {"vector": hr.classify(t, G, gg.Character(args.s, p)).to_json()}
 
     if args.command == "isom":
         n = args.n or p
@@ -178,15 +177,15 @@ def run(args) -> dict:
         }
 
     if args.command == "conjugate":
-        c1 = hr.ExtensionClass(ValuationVector.from_json(p, _read_json(args.a)))
-        c2 = hr.ExtensionClass(ValuationVector.from_json(p, _read_json(args.b)))
-        b = hr.conjugating_scalar(c1, c2)
+        v1 = ValuationVector.from_json(p, _read_json(args.a))
+        v2 = ValuationVector.from_json(p, _read_json(args.b))
+        b = v1.ratio(v2)
         return {"verdict": b is not None, "b": b}
 
     if args.command == "product":
-        c1 = hr.ExtensionClass(ValuationVector.from_json(p, _read_json(args.a)))
-        c2 = hr.ExtensionClass(ValuationVector.from_json(p, _read_json(args.b)))
-        return {"vector": hr.product(c1, c2).vec.to_json()}
+        v1 = ValuationVector.from_json(p, _read_json(args.a))
+        v2 = ValuationVector.from_json(p, _read_json(args.b))
+        return {"vector": v1.add(v2).to_json()}
 
     if args.command == "pairing":
         lam = _read_series(ctx, args.lam, prec)
@@ -225,7 +224,7 @@ def run(args) -> dict:
         return {
             "vec": result.vec.to_json(),
             "ram": [pt.label for pt in result.ram],
-            "class": result.cls.canon.to_json(),
+            "class": result.cls.to_json(),
             "admissible": result.admissible,
         }
 

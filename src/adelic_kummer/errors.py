@@ -1,8 +1,21 @@
 """Exception hierarchy shared across the package.
 
 Every domain error derives from AdelicError and carries a stable ``code``
-string so the CLI can emit machine-readable error objects.
+string so the CLI can emit machine-readable error objects.  Malformed
+input is a plain ValueError instead; ``json_value`` raises one that names
+the field whose JSON value has the wrong type.
 """
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_value(value, kind: type, name: str):
+    """``value`` if its type is exactly ``kind``, one of the JSON types
+    dict, list, str and int (so ``True`` is not an integer, and a missing
+    field read as None is rejected); otherwise a ValueError naming ``name``."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 class AdelicError(Exception):

@@ -13,7 +13,7 @@ pairing, Galois equivalence of subgroups, and explicit conjugations
 is verified exactly, as an equality of two finite descriptions.
 The ramified tuple is a valuation vector whose entries are units; Galois
 equivalence and the power k of tau(g1) = g2^k both come from
-``ValuationVector.ratio``, which also decides conjugacy in ``harrison``.
+``ValuationVector.ratio``, which also decides conjugacy of classes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import adeles, laurent as ls, local_algebra as la
 from .adeles import Idele, Point, ValuationVector
 from .coeff_field import FieldCtx
-from .errors import NotEquivalent, NotGalois, NotTransitive
+from .errors import NotEquivalent, NotGalois, NotTransitive, json_value
 
 
 def standard_p_cycle(p: int):
@@ -130,14 +130,15 @@ class GlobalAutomorphism:
 
     @classmethod
     def from_json(cls, data: dict, p: int) -> "GlobalAutomorphism":
-        sigma, exceptions = data["default_sigma"], data.get("exceptions", {})
+        json_value(data, dict, "automorphism")
+        sigma = json_value(data.get("default_sigma"), list, "'default_sigma'")
         if not all(type(v) is int for v in sigma):
             raise ValueError(f"'default_sigma' must list integers, got {sigma!r}")
-        if not isinstance(exceptions, dict):
-            raise ValueError(f"'exceptions' must be an object, got {exceptions!r}")
         exceptions = {
-            Point(label): la.LocalAutomorphism.from_json(aut, p)
-            for label, aut in exceptions.items()
+            Point(label): la.LocalAutomorphism.from_json(
+                json_value(aut, dict, f"exception at {label}"), p
+            )
+            for label, aut in json_value(data.get("exceptions", {}), dict, "'exceptions'").items()
         }
         return cls(p, exceptions, tuple(sigma))
 
@@ -181,10 +182,6 @@ class RamTuple(ValuationVector):
             if v % p == 0:
                 raise ValueError(f"tuple entry at {pt.label} must be nonzero mod {p}")
         super().__init__(p, entries)
-
-    @property
-    def entries(self) -> dict:
-        return self.support
 
 
 # ----------------------------------------------------------------------

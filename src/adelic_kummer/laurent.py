@@ -35,6 +35,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroInverse,
     ZeroValuation,
+    json_value,
 )
 
 DEFAULT_PREC = 32
@@ -314,12 +315,16 @@ def to_json(s: LaurentSeries) -> dict:
 
 
 def from_json(ctx: FieldCtx, data: dict) -> LaurentSeries:
-    if data["val"] is None:
+    if "val" in data and data["val"] is None:
         return zero(ctx)
-    coeffs = [ctx.elem_from_text(t) for t in data["coeffs"]]
-    if len(coeffs) != data["prec"]:
+    val = json_value(data.get("val"), int, "series 'val'")
+    coeffs = [
+        ctx.elem_from_text(json_value(t, str, "series coefficient"))
+        for t in json_value(data.get("coeffs"), list, "'coeffs'")
+    ]
+    if len(coeffs) != json_value(data.get("prec"), int, "series 'prec'"):
         raise ValueError("prec does not match the coefficient window")
-    return series(ctx, data["val"], coeffs)
+    return series(ctx, val, coeffs)
 
 
 def to_text(s: LaurentSeries) -> str:

@@ -29,6 +29,7 @@ from .errors import (
     NonInvertible,
     UnramifiedPoint,
     ZeroParameter,
+    json_value,
 )
 
 UNRAMIFIED = "unramified"
@@ -218,13 +219,15 @@ class LocalAutomorphism:
 
     @classmethod
     def from_json(cls, data: dict, p: int) -> "LocalAutomorphism":
-        if data["kind"] == "ram":
-            if type(data["a"]) is not int:
-                raise ValueError(f"ramified exponent 'a' must be an integer, got {data['a']!r}")
-            return cls.ram(data["a"], p)
-        if not all(type(v) is int for v in data["sigma"]):
-            raise ValueError(f"'sigma' must list integers, got {data['sigma']!r}")
-        return cls.unram(data["sigma"])
+        kind = data.get("kind")
+        if kind == "ram":
+            return cls.ram(json_value(data.get("a"), int, "ramified exponent 'a'"), p)
+        if kind != "unram":
+            raise ValueError(f"automorphism 'kind' must be \"ram\" or \"unram\", got {kind!r}")
+        sigma = json_value(data.get("sigma"), list, "'sigma'")
+        if not all(type(v) is int for v in sigma):
+            raise ValueError(f"'sigma' must list integers, got {sigma!r}")
+        return cls.unram(sigma)
 
 
 # ----------------------------------------------------------------------

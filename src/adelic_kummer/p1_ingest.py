@@ -20,7 +20,7 @@ from math import gcd
 from . import adeles, global_galois as gg, harrison as hr, laurent as ls
 from .adeles import Idele, INFINITY, Point
 from .coeff_field import FieldCtx, FieldElem, elem_to_text
-from .errors import NotAdmissible, PthPower
+from .errors import NotAdmissible, PthPower, json_value
 
 
 class RationalFunction:
@@ -58,8 +58,12 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ctx: FieldCtx, data: dict) -> "RationalFunction":
-        constant = ctx.elem_from_text(data["constant"])
-        factors = [(ctx.elem_from_text(f["root"]), f["exp"]) for f in data["factors"]]
+        json_value(data, dict, "rational function")
+        constant = ctx.elem_from_text(json_value(data.get("constant"), str, "'constant'"))
+        factors = []
+        for f in json_value(data.get("factors"), list, "'factors'"):
+            root = json_value(json_value(f, dict, "a factor").get("root"), str, "factor 'root'")
+            factors.append((ctx.elem_from_text(root), f.get("exp")))
         return cls(ctx, constant, factors)
 
 
@@ -179,11 +183,11 @@ def classify_superelliptic(
     t = germ_idele(f, prec)
     G = gg.standard_kummer_subgroup(t, p)
     pipeline = hr.classify(t, G, gg.Character(1, p))
-    assert pipeline.vec == direct, "divisor route and germ route disagree"
+    assert pipeline == direct, "divisor route and germ route disagree"
     return SuperellipticClassification(
         vec=direct,
         ram=direct.points(),
-        cls=hr.valuation_class(pipeline),
+        cls=hr.canonical_vector(pipeline),
         admissible=admissible,
         warns=warns,
     )

@@ -120,7 +120,7 @@ def test_3_algebra_isomorphism_explicit():
                 t2 = Idele(exceptions, ls.one(ctx, 16))
             else:
                 t2 = _random_idele(ctx, rng, prec=16, max_pts=5)
-            verdict = hr.algebra_isomorphic(t1, t2, p)
+            verdict = adeles.ram_profile(t1, p) == adeles.ram_profile(t2, p)
             if verdict:
                 # assemble the componentwise isomorphism and verify exactly
                 for pt in set(t1.exceptions) | set(t2.exceptions):
@@ -253,7 +253,7 @@ def test_6_primitive_element_contracts():
             # closed-form valuations at ramified points
             tup = gg.ram_tuple(G, t)
             vec = adeles.valuation_vector(alpha.alpha_p, p)
-            for pt, entry in tup.entries.items():
+            for pt, entry in tup.support.items():
                 assert vec.support[pt] == (s * pow(entry, -1, p)) % p
             # characteristic polynomial = T^p - alpha^p, by determinant
             for pt, b in alpha.ram_exponents.items():

@@ -307,6 +307,47 @@ def test_a_non_integer_in_json_is_malformed(argv, message, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Python's TypeError, KeyError or AttributeError texts before, naming no field
+        (["tuple", "--t", "@idele_z.json", "--g", '{"default_sigma": 5}'], "'default_sigma' must be a list, got 5"),
+        (["tuple", "--t", "@idele_z.json", "--g", '{"exceptions": {}}'], "'default_sigma' must be a list, got None"),
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("0", 1)], "exception at 0 must be an object, got 1"),
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("0", {"kind": "ram"})],
+         "ramified exponent 'a' must be an integer, got None"),
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("u", {"kind": "unram"})], "'sigma' must be a list, got None"),
+        (["tuple", "--t", "@idele_z.json", "--g", '[1]'], "automorphism must be an object, got [1]"),
+        # read as an unram automorphism before
+        (["tuple", "--t", "@idele_z.json", "--g", with_exception("u", {"kind": "split", "sigma": [3, 1, 2]})],
+         "automorphism 'kind' must be \"ram\" or \"unram\", got 'split'"),
+        (["tuple", "--t", "[1]", "--g", json.dumps(RAM_G)], "idele must be an object, got [1]"),
+        (["isom", "--a", '{"points": ["z"]}', "--b", "@idele_z.json"], "'points' must be an object, got ['z']"),
+        (["isom", "--a", '{"points": {"0": 1}}', "--b", "@idele_z.json"], "component at 0 must be a string, got 1"),
+        (["isom", "--a", '{"default": 1}', "--b", "@idele_z.json"], "'default' must be a string, got 1"),
+        (["product", "--a", "[1]", "--b", "{}"], "valuation vector must be an object, got [1]"),
+        (["conjugate", "--a", "{}", "--b", "5"], "valuation vector must be an object, got 5"),
+        (["superelliptic", "--f", '{"constant": "1", "factors": [1]}'], "a factor must be an object, got 1"),
+        (["superelliptic", "--f", '{"constant": "1", "factors": {"0": 1}}'], "'factors' must be a list, got {'0': 1}"),
+        (["superelliptic", "--f", '{"constant": "1", "factors": [{"exp": 1}]}'], "factor 'root' must be a string, got None"),
+        (["superelliptic", "--f", '{"constant": "1", "factors": [{"root": "0"}]}'],
+         "factor 'exp' must be a nonzero integer, got None"),
+        (["superelliptic", "--f", '{"constant": 1, "factors": []}'], "'constant' must be a string, got 1"),
+        (["superelliptic", "--f", "[1]"], "rational function must be an object, got [1]"),
+        (["pairing", "--a", "1", "--lam", '{"val": 1}', "--t", "z"], "'coeffs' must be a list, got None"),
+        (["pairing", "--a", "1", "--lam", '{"val": 1, "coeffs": [1], "prec": 1}', "--t", "z"],
+         "series coefficient must be a string, got 1"),
+        (["pairing", "--a", "1", "--lam", '{"val": 1.0, "coeffs": ["1"], "prec": 1}', "--t", "z"],
+         "series 'val' must be an integer, got 1.0"),
+    ],
+)
+def test_a_json_value_of_the_wrong_type_names_its_field(argv, message, capsys):
+    argv = [data_path(a[1:]) if a.startswith("@") else a for a in argv]
+    code, body = run_cli(["--p", "3", *argv], capsys)
+    assert code == 1
+    assert body["error"] == {"code": "MalformedInput", "message": f"ValueError: {message}"}
+
+
 def superelliptic_argv(constant, roots):
     f = {"constant": constant, "factors": [{"root": r, "exp": e} for r, e in zip(roots, (1, 2))]}
     return ["--ell", "7", "--p", "3", "--prec", "8", "superelliptic", "--f", json.dumps(f)]

@@ -14,7 +14,10 @@ conjugacy and Galois equivalence came to share one scalar search, and pin
 that this changed no output.  ``conjugation_split_equals_default``, whose
 split permutation equals the default one, and ``selftest_p7`` were
 recorded before a conjugation came to be verified on its description
-instead of on random samples, and pin that this changed no output.  Only
+instead of on random samples, and pin that this changed no output.
+``classify_p5``, ``product_p5`` and ``conjugate_p5`` were recorded before
+an extension class became a bare valuation vector, and pin that this
+changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -85,6 +88,10 @@ REQUESTS = {
     "equivalent_p5_false": ["--ell", "11", "--p", "5", "--prec", "8", "equivalent", "--t", json.dumps(T_P5),
         "--g1", json.dumps(G1_P5), "--g2", json.dumps(G2_P5)],
     "tuple_p5": ["--ell", "11", "--p", "5", "--prec", "8", "tuple", "--t", json.dumps(T_P5), "--g", json.dumps(G1_P5)],
+    "classify_p5": ["--ell", "11", "--p", "5", "--prec", "8", "classify", "--t", json.dumps(T_P5), "--g", json.dumps(G1_P5), "--s", "2"],
+    "product_p5": ["--ell", "11", "--p", "5", "product", "--a", '{"a": 1, "b": 3, "x": 4}', "--b", '{"a": 4, "b": 3, "y": 2}'],
+    # the first vector is 3 times the second
+    "conjugate_p5": ["--ell", "11", "--p", "5", "conjugate", "--a", '{"a": 3, "b": 1, "c": 2}', "--b", '{"a": 1, "b": 2, "c": 4}'],
     # split_perms lists u with the default permutation
     "conjugation_split_equals_default": conj(7, 3, {"a": "z^1*(1 + 1*z)"},
         {"default_sigma": [2, 3, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [3, 1, 2]}}},
@@ -99,6 +106,8 @@ EXPECTED = json.loads(
     """{
  "classify_standard": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
  "classify_twisted": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
+ "classify_p5": {"outputs": {"vector": {"a": 2, "b": 3, "c": 1}}, "rc": 0},
+ "conjugate_p5": {"outputs": {"b": 3, "verdict": true}, "rc": 0},
  "conjugate": {"outputs": {"b": 2, "verdict": true}, "rc": 0},
  "conjugate_trivial_nontrivial": {"outputs": {"b": null, "verdict": false}, "rc": 0},
  "conjugate_trivial_trivial": {"outputs": {"b": 1, "verdict": true}, "rc": 0},
@@ -116,6 +125,7 @@ EXPECTED = json.loads(
  "pairing_p2": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[6]"}, "rc": 0},
  "pairing_p5": {"outputs": {"log": 3, "oracle_agrees": true, "pair": "L0:[5]"}, "rc": 0},
  "product": {"outputs": {"vector": {}}, "rc": 0},
+ "product_p5": {"outputs": {"vector": {"b": 1, "x": 4, "y": 2}}, "rc": 0},
  "selftest_p2": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},
  "selftest_p3": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}, {"name": "superelliptic_example", "ok": true}], "failed": 0, "passed": 7}, "rc": 0},
  "selftest_p5": {"outputs": {"checks": [{"name": "zeta_order", "ok": true}, {"name": "tower_roots", "ok": true}, {"name": "hensel_roots", "ok": true}, {"name": "pairing_oracle", "ok": true}, {"name": "conjugacy_agreement", "ok": true}, {"name": "stratification_count", "ok": true}], "failed": 0, "passed": 6}, "rc": 0},

@@ -342,9 +342,9 @@ def test_valuation_formula_at_ramified_points(ctx):
         alpha = gg.primitive_element(t, G, gg.Character(s, 3))
         tup = gg.ram_tuple(G, t)
         vec = adeles.valuation_vector(alpha.alpha_p, 3)
-        for pt, entry in tup.entries.items():
+        for pt, entry in tup.support.items():
             assert vec.support[pt] == (s * pow(entry, -1, 3)) % 3
-        assert set(vec.support) == set(tup.entries)
+        assert set(vec.support) == set(tup.support)
 
 
 def test_automorphism_json_roundtrip(ctx):
@@ -375,7 +375,7 @@ def test_ram_tuple_is_a_valuation_vector_of_units():
         gg.RamTuple(5, {a: 1, b: 10})
     tup = gg.RamTuple(5, {a: 6, b: 3})
     assert isinstance(tup, adeles.ValuationVector)
-    assert tup.entries == {a: 1, b: 3}
+    assert tup.support == {a: 1, b: 3}
     assert tup.to_json() == {"a": 1, "b": 3}
     assert repr(tup) == "RamTuple(p=5, {a: 1, b: 3})"
     for k in range(1, 5):
