@@ -3,9 +3,11 @@
 Modules:
     coeff_field    finite-field tower with mu_p, zeta, and p-th roots
     laurent        truncated Laurent series, Hensel roots of units
-    adeles         finite-support ideles/adeles, valuation vectors, ramification
+    adeles         the restricted-product form (exceptions plus a default), ideles,
+                   valuation vectors, ramification
     local_algebra  structure of K_x[T]/(T^n - t_x), local isomorphisms, pairings
-    global_galois  global automorphisms, Galois checks, primitive elements
+    global_galois  global automorphisms and algebra elements in that form,
+                   Galois checks, primitive elements
     harrison       classification into valuation vectors, conjugacy classes
     p1_ingest      rational functions on the projective line, superelliptic covers
     cli            JSON command-line front end

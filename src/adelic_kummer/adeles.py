@@ -1,11 +1,14 @@
-"""Finite-support adeles and ideles over an abstract point set.
+"""The restricted-product form, ideles, and their valuation invariants.
 
 Points are opaque ordered labels; only the projective-line layer attaches
-coordinates to them.  An adele/idele is a finite exception map together
-with a default component used at every unlisted point (the canonical
-default is the constant series 1, matching integrality at almost all
-points).  Valuation vectors and ramification profiles are the mod-p and
-gcd images of the component valuations.
+coordinates to them.  ``Adele`` is the one finite form of a global object:
+a finite exception map plus a default component used at every unlisted
+point, with one pointwise combinator over the union of supports.  Ideles,
+global automorphisms and algebra elements are its subclasses; each decides
+which exceptions are redundant.  An idele's canonical default is the
+constant series 1, matching integrality at almost all points.  Valuation
+vectors and ramification profiles are the mod-p and gcd images of the
+component valuations.
 """
 
 from __future__ import annotations
@@ -48,48 +51,77 @@ INFINITY = Point(INF_LABEL)
 
 
 class Adele:
-    """Finite exception map plus a default component of valuation >= 0.
+    """Finitely many local exceptions plus one default used at every other
+    point: the restricted-product form shared by ideles, global
+    automorphisms and algebra elements.
 
-    Used as a parameter vector: the default must be nonzero, exceptions
-    may be zero only when ``allow_zero`` is set.
+    A subclass may define ``_keep(pt, component)`` to check each exception
+    and drop the redundant ones; without it every exception is kept.
     """
 
     __slots__ = ("exceptions", "default")
+    _keep = None
 
-    def __init__(self, exceptions, default: ls.LaurentSeries, allow_zero=False):
-        if default.is_zero or default.val < 0:
-            raise ValueError("adele default must be nonzero with valuation >= 0")
-        pruned = {}
-        for pt, s in exceptions.items():
-            if s.is_zero and not allow_zero:
-                raise ZeroComponent(f"zero component at {pt.label}")
-            if not s.is_zero and s.val == default.val and ls.matches(s, default):
-                continue
-            pruned[pt] = s
-        self.exceptions = pruned
+    def __init__(self, exceptions, default):
         self.default = default
+        keep = self._keep
+        if keep is None:
+            self.exceptions = dict(exceptions)
+        else:
+            self.exceptions = {pt: c for pt, c in exceptions.items() if keep(pt, c)}
+
+    def component(self, pt: Point):
+        return self.exceptions.get(pt, self.default)
+
+    def combine(self, op, *others):
+        """The exceptions and default of x -> op(self_x, *others_x): op runs
+        once at each point of the union of the supports and once on the
+        defaults."""
+        default = op(self.default, *[a.default for a in others])
+        if not others:
+            return {pt: op(c) for pt, c in self.exceptions.items()}, default
+        if len(others) == 1:  # the common case: one dict lookup per operand per point, no list
+            (other,), mine = others, self.default
+            get, theirs = other.exceptions.get, other.default
+            exceptions = {pt: op(c, get(pt, theirs)) for pt, c in self.exceptions.items()}
+            for pt, c in other.exceptions.items():
+                if pt not in exceptions:
+                    exceptions[pt] = op(mine, c)
+            return exceptions, default
+        operands = (self, *others)
+        exceptions = {}
+        for a in operands:
+            for pt in a.exceptions:
+                if pt not in exceptions:
+                    exceptions[pt] = op(*[b.component(pt) for b in operands])
+        return exceptions, default
+
+
+class Idele(Adele):
+    """Invertible adele: all components nonzero, default a unit.  An
+    exception is dropped when it matches the default over a window that
+    reaches at least as far, so no point claims terms nobody computed."""
+
+    __slots__ = ()
+
+    def __init__(self, exceptions, default: ls.LaurentSeries):
+        if default.is_zero or default.val != 0:
+            raise ValueError("idele default must be a unit (valuation 0)")
+        super().__init__(exceptions, default)
+
+    def _keep(self, pt, s):
+        if s.is_zero:
+            raise ZeroComponent(f"zero component at {pt.label}")
+        d = self.default
+        return s.val != d.val or s.end < d.end or not ls.matches(s, d)
 
     @property
     def ctx(self) -> FieldCtx:
         return self.default.ctx
 
-    def component(self, pt: Point) -> ls.LaurentSeries:
-        return self.exceptions.get(pt, self.default)
-
     def __repr__(self):
-        body = ", ".join(
-            f"{pt.label}: {ls.to_text(s)}" for pt, s in sorted(self.exceptions.items())
-        )
-        return f"{type(self).__name__}({{{body}}}, default={ls.to_text(self.default)})"
-
-
-class Idele(Adele):
-    """Invertible adele: all components nonzero, default a unit."""
-
-    def __init__(self, exceptions, default: ls.LaurentSeries):
-        if default.is_zero or default.val != 0:
-            raise ValueError("idele default must be a unit (valuation 0)")
-        super().__init__(exceptions, default, allow_zero=False)
+        body = ", ".join(f"{pt.label}: {ls.to_text(s)}" for pt, s in sorted(self.exceptions.items()))
+        return f"Idele({{{body}}}, default={ls.to_text(self.default)})"
 
 
 def unit_idele(ctx: FieldCtx, prec: int = ls.DEFAULT_PREC) -> Idele:
@@ -193,12 +225,8 @@ def ram_locus(t: Idele, p: int) -> list[Point]:
     return valuation_vector(t, p).points()
 
 
-def ram_profile(t: Adele, n: int) -> RamProfile:
+def ram_profile(t: Idele, n: int) -> RamProfile:
     """e_x = n / gcd(n, v_x(t_x)) at every point where that exceeds 1."""
-    if any(s.is_zero for s in t.exceptions.values()):
-        raise ZeroComponent("ramification profile needs nonzero components")
-    if n // gcd(n, t.default.valuation()) != 1:
-        raise ValueError("default component would ramify at infinitely many points")
     entries = {}
     for pt, s in t.exceptions.items():
         e = n // gcd(n, s.valuation())
@@ -208,18 +236,11 @@ def ram_profile(t: Adele, n: int) -> RamProfile:
 
 
 def idele_mul(t1: Idele, t2: Idele) -> Idele:
-    default = ls.mul(t1.default, t2.default)
-    exceptions = {}
-    for pt in set(t1.exceptions) | set(t2.exceptions):
-        exceptions[pt] = ls.mul(t1.component(pt), t2.component(pt))
-    return Idele(exceptions, default)
+    return Idele(*t1.combine(ls.mul, t2))
 
 
 def idele_pow(t: Idele, k: int) -> Idele:
-    return Idele(
-        {pt: ls.power(s, k) for pt, s in t.exceptions.items()},
-        ls.power(t.default, k),
-    )
+    return Idele(*t.combine(lambda s: ls.power(s, k)))
 
 
 def is_pth_power(t: Idele, p: int) -> bool:
@@ -230,32 +251,23 @@ def is_pth_power(t: Idele, p: int) -> bool:
 def pth_power_witness(t: Idele, p: int) -> Idele:
     """A componentwise p-th root (z-power division plus Hensel lifting);
     only meaningful when is_pth_power(t, p) holds."""
-    return Idele(
-        {pt: ls.nth_root_series(s, p) for pt, s in t.exceptions.items()},
-        ls.hensel_pth_root(t.default, p),
-    )
+    return Idele(*t.combine(lambda s: ls.nth_root_series(s, p)))
 
 
 def idele_eq(t1: Idele, t2: Idele) -> bool:
-    if not ls.matches(t1.default, t2.default):
-        return False
-    if set(t1.exceptions) != set(t2.exceptions):
-        return False
-    return all(ls.matches(s, t2.exceptions[pt]) for pt, s in t1.exceptions.items())
+    exceptions, default = t1.combine(ls.matches, t2)
+    return default and all(exceptions.values())
 
 
 # ----------------------------------------------------------------------
 # JSON forms
 
 
-def idele_to_json(t: Idele, p: int | None = None) -> dict:
-    data = {
+def idele_to_json(t: Idele) -> dict:
+    return {
         "default": ls.to_text(t.default),
         "points": {pt.label: ls.to_text(s) for pt, s in sorted(t.exceptions.items())},
     }
-    if p is not None:
-        data["p"] = p
-    return data
 
 
 def idele_from_json(ctx: FieldCtx, data: dict, prec: int = ls.DEFAULT_PREC) -> Idele:

@@ -1,10 +1,12 @@
 """Global automorphisms of rank-p adelic algebras and their Galois theory.
 
-A global automorphism is described by finitely many local exceptions plus
-one default permutation applied at every unlisted (necessarily split)
-point.  This finite description is closed under composition and covers,
-up to the equivalences decided here, every p-cyclic subgroup the deciders
-quantify over.
+A global automorphism, like an algebra element, has the restricted-product
+form of ``adeles.Adele``: finitely many local exceptions plus one default
+(a permutation, a split part) used at every unlisted, necessarily split,
+point.  Operations run pointwise through ``Adele.combine``.  This finite
+description is closed under composition and covers, up to the
+equivalences decided here, every p-cyclic subgroup the deciders quantify
+over.
 
 The operations: transitivity/Galois checks, construction of eigenvector
 primitive elements, ramified-tuple invariants via the local Kummer
@@ -19,7 +21,7 @@ equivalence and the power k of tau(g1) = g2^k both come from
 from __future__ import annotations
 
 from . import adeles, laurent as ls, local_algebra as la
-from .adeles import Idele, Point, ValuationVector
+from .adeles import Adele, Idele, Point, ValuationVector
 from .coeff_field import FieldCtx
 from .errors import NotEquivalent, NotGalois, NotTransitive, json_value
 
@@ -28,78 +30,57 @@ def standard_p_cycle(p: int):
     return tuple(range(2, p + 1)) + (1,)
 
 
-class GlobalAutomorphism:
+class GlobalAutomorphism(Adele):
     """Finite exception map point -> local automorphism, plus the default
-    split permutation used everywhere else."""
+    split permutation used everywhere else; an exception equal to the
+    default is dropped."""
 
-    __slots__ = ("p", "exceptions", "default_sigma")
+    __slots__ = ("p", "default_sigma")
 
     def __init__(self, p: int, exceptions, default_sigma):
         self.p = p
         self.default_sigma = tuple(default_sigma)
         if sorted(self.default_sigma) != list(range(1, p + 1)):
             raise ValueError(f"default is not a permutation of 1..{p}")
-        for pt, aut in exceptions.items():
-            if aut.kind == "unram" and len(aut.sigma) != p:
-                raise ValueError(f"sigma at {pt.label} is not a permutation of 1..{p}")
-        default = la.LocalAutomorphism.unram(self.default_sigma)
-        self.exceptions = {
-            pt: aut for pt, aut in exceptions.items() if aut != default
-        }
+        super().__init__(exceptions, la.LocalAutomorphism.unram(self.default_sigma))
+
+    def _keep(self, pt, aut):
+        if aut.kind == "unram" and len(aut.sigma) != self.p:
+            raise ValueError(f"sigma at {pt.label} is not a permutation of 1..{self.p}")
+        return aut != self.default
 
     @classmethod
     def identity(cls, p: int) -> "GlobalAutomorphism":
         return cls(p, {}, la.identity_perm(p))
 
-    def local_at(self, pt: Point) -> la.LocalAutomorphism:
-        return self.exceptions.get(pt, la.LocalAutomorphism.unram(self.default_sigma))
-
     def __eq__(self, other):
-        return (
-            isinstance(other, GlobalAutomorphism)
-            and self.p == other.p
-            and self.default_sigma == other.default_sigma
-            and self.exceptions == other.exceptions
+        # the default sigma, a permutation of 1..p, also fixes p
+        return isinstance(other, GlobalAutomorphism) and (
+            (self.default, self.exceptions) == (other.default, other.exceptions)
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.p,
-                self.default_sigma,
-                tuple(sorted((pt.label, aut) for pt, aut in self.exceptions.items())),
-            )
-        )
+        return hash((self.default_sigma, frozenset(self.exceptions.items())))
 
     def __repr__(self):
-        body = ", ".join(
-            f"{pt.label}: {aut!r}" for pt, aut in sorted(self.exceptions.items())
-        )
+        body = ", ".join(f"{pt.label}: {aut!r}" for pt, aut in sorted(self.exceptions.items()))
         return f"GlobalAutomorphism(sigma={list(self.default_sigma)}, {{{body}}})"
+
+    def _pointwise(self, op, *others) -> "GlobalAutomorphism":
+        exceptions, default = self.combine(op, *others)
+        return GlobalAutomorphism(self.p, exceptions, default.sigma)
 
     def compose(self, other: "GlobalAutomorphism") -> "GlobalAutomorphism":
         """self after other, pointwise."""
         if self.p != other.p:
             raise ValueError("rank mismatch")
-        default = la.perm_compose(self.default_sigma, other.default_sigma)
-        exceptions = {}
-        for pt in set(self.exceptions) | set(other.exceptions):
-            exceptions[pt] = self.local_at(pt).compose(other.local_at(pt), self.p)
-        return GlobalAutomorphism(self.p, exceptions, default)
+        return self._pointwise(lambda a, b: a.compose(b, self.p), other)
 
     def inverse(self) -> "GlobalAutomorphism":
-        return GlobalAutomorphism(
-            self.p,
-            {pt: aut.inverse(self.p) for pt, aut in self.exceptions.items()},
-            la.perm_inverse(self.default_sigma),
-        )
+        return self._pointwise(lambda a: a.inverse(self.p))
 
     def power(self, k: int) -> "GlobalAutomorphism":
-        return GlobalAutomorphism(
-            self.p,
-            {pt: aut.power(k, self.p) for pt, aut in self.exceptions.items()},
-            la.perm_power(self.default_sigma, k),
-        )
+        return self._pointwise(lambda a: a.power(k, self.p))
 
     def is_identity(self) -> bool:
         # ramified components with exponent 0 are identity maps but stay
@@ -110,15 +91,8 @@ class GlobalAutomorphism:
 
     def is_valid_for(self, t: Idele) -> bool:
         """Ramified points of t carry ramified components, all others split."""
-        ram = set(adeles.ram_locus(t, self.p))
-        for pt in ram:
-            aut = self.exceptions.get(pt)
-            if aut is None or aut.kind != "ram":
-                return False
-        for pt, aut in self.exceptions.items():
-            if aut.kind == "ram" and pt not in ram:
-                return False
-        return True
+        ram = {pt for pt, aut in self.exceptions.items() if aut.kind == "ram"}
+        return ram == set(adeles.ram_locus(t, self.p))
 
     def to_json(self) -> dict:
         return {
@@ -188,20 +162,17 @@ class RamTuple(ValuationVector):
 # algebra elements: finite maps point -> local part, split elsewhere
 
 
-class AlgebraElement:
-    """Element of a rank-p adelic algebra with finite support.
+class AlgebraElement(Adele):
+    """Element of a rank-p adelic algebra with finite support: exceptional
+    local parts, and the split ``default`` used at every unlisted point.
+    No exception is dropped."""
 
-    ``parts`` carries the exceptional local parts; ``default`` is the split
-    pattern used at every unlisted point.
-    """
+    __slots__ = ("p",)
 
-    __slots__ = ("p", "parts", "default")
-
-    def __init__(self, p: int, parts, default: la.LocalPart):
+    def __init__(self, p: int, exceptions, default: la.LocalPart):
         assert default.kind == "split"
         self.p = p
-        self.parts = dict(parts)
-        self.default = default
+        super().__init__(exceptions, default)
 
     @classmethod
     def embed(cls, u: Idele, t: Idele, p: int) -> "AlgebraElement":
@@ -218,48 +189,26 @@ class AlgebraElement:
     def one(cls, p: int, t: Idele, prec: int = 8) -> "AlgebraElement":
         return cls.embed(adeles.unit_idele(t.ctx, prec), t, p)
 
-    def part_at(self, pt: Point) -> la.LocalPart:
-        return self.parts.get(pt, self.default)
-
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         assert self.p == other.p
-        parts = {}
-        for pt in set(self.parts) | set(other.parts):
-            parts[pt] = self.part_at(pt).add(other.part_at(pt))
-        return AlgebraElement(self.p, parts, self.default.add(other.default))
+        return AlgebraElement(self.p, *self.combine(la.LocalPart.add, other))
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(
-            self.p,
-            {pt: part.scale(c) for pt, part in self.parts.items()},
-            self.default.scale(c),
-        )
+        return AlgebraElement(self.p, *self.combine(lambda part: part.scale(c)))
 
     def mul(self, other: "AlgebraElement", t: Idele) -> "AlgebraElement":
         """Product in the algebra over t, one point at a time."""
         assert self.p == other.p
-        parts = {}
-        for pt in set(self.parts) | set(other.parts):
-            parts[pt] = self.part_at(pt).mul(other.part_at(pt), t.component(pt))
-        return AlgebraElement(self.p, parts, self.default.mul(other.default, t.default))
+        return AlgebraElement(self.p, *self.combine(la.LocalPart.mul, other, t))
 
     def apply(self, g: GlobalAutomorphism, ctx: FieldCtx) -> "AlgebraElement":
-        parts = {}
-        for pt in set(self.parts) | set(g.exceptions):
-            parts[pt] = self.part_at(pt).apply(g.local_at(pt), ctx)
-        return AlgebraElement(
-            self.p,
-            parts,
-            self.default.apply(la.LocalAutomorphism.unram(g.default_sigma), ctx),
-        )
+        return AlgebraElement(self.p, *self.combine(lambda part, aut: part.apply(aut, ctx), g))
 
     def matches(self, other: "AlgebraElement") -> bool:
-        if self.p != other.p or not self.default.matches(other.default):
+        if self.p != other.p:
             return False
-        for pt in set(self.parts) | set(other.parts):
-            if not self.part_at(pt).matches(other.part_at(pt)):
-                return False
-        return True
+        exceptions, default = self.combine(la.LocalPart.matches, other)
+        return default and all(exceptions.values())
 
 
 # ----------------------------------------------------------------------
@@ -274,10 +223,7 @@ def is_pointwise_transitive(G: CyclicSubgroup, t: Idele) -> bool:
         return False
     if not la.is_p_cycle(g.default_sigma):
         return False
-    for aut in g.exceptions.values():
-        if aut.order(G.p) != G.p:
-            return False
-    return True
+    return all(aut.order(G.p) == G.p for aut in g.exceptions.values())
 
 
 def is_galois(t: Idele, G: CyclicSubgroup) -> bool:
@@ -438,11 +384,9 @@ def construct_conjugation(
     alpha2 = primitive_element(t, G2, Character(chi1.s * pow(k, -1, p), p))
     for pt, b1 in alpha1.ram_exponents.items():
         assert b1 == alpha2.ram_exponents[pt], "matched projections must give equal exponents"
-    split_perms = {}
-    for pt in set(alpha1.split_patterns) | set(alpha2.split_patterns):
-        pat1 = alpha1.split_patterns.get(pt, alpha1.default_pattern)
-        split_perms[pt] = _pattern_perm(pat1, alpha2.split_patterns.get(pt, alpha2.default_pattern))
-    default_perm = _pattern_perm(alpha1.default_pattern, alpha2.default_pattern)
+    split_perms, default_perm = Adele(alpha1.split_patterns, alpha1.default_pattern).combine(
+        _pattern_perm, Adele(alpha2.split_patterns, alpha2.default_pattern)
+    )
     # u = 1: the ramified exponents are equal, and eigen_pattern puts
     # zeta^0 first in every split pattern of both primitive elements
     u = adeles.unit_idele(t.ctx, t.default.prec)

@@ -46,10 +46,10 @@ def test_ram_profile_trivial_and_total(ctx):
     assert adeles.ram_profile(t2, 5).entries == {Point("x0"): 5}
 
 
-def test_ram_profile_rejects_zero_component(ctx):
-    t = adeles.Adele({Point("x0"): ls.zero(ctx)}, ls.one(ctx, 8), allow_zero=True)
-    with pytest.raises(ZeroComponent):
-        adeles.ram_profile(t, 3)
+def test_idele_rejects_zero_component(ctx):
+    # so ram_profile, which reads valuations, never meets one
+    with pytest.raises(ZeroComponent, match="zero component at x0"):
+        Idele({Point("x0"): ls.zero(ctx)}, ls.one(ctx, 8))
 
 
 def test_is_pth_power_examples(ctx):
@@ -121,8 +121,8 @@ def test_vector_group_ops():
 
 def test_idele_json_roundtrip(ctx):
     t = mk_idele(ctx, {"0": "z", "1": "z^2*(1 + 1*z)"})
-    data = adeles.idele_to_json(t, p=3)
-    assert data["p"] == 3 and data["points"]["0"] == "z^1*(1)"
+    data = adeles.idele_to_json(t)
+    assert data["points"]["0"] == "z^1*(1)"
     back = adeles.idele_from_json(ctx, data, prec=16)
     assert adeles.idele_eq(back, t)
 
@@ -153,3 +153,13 @@ def test_ratio_against_a_scan():
                 assert len(scan) <= 1
             if scan:
                 assert v.ratio(u) == pow(scan[0], -1, p)
+
+
+def test_idele_keeps_an_exception_known_to_fewer_terms(ctx):
+    # it matches the default on its 4 known terms; dropping it would make
+    # the point claim 28 terms that were never computed
+    x = Point("x")
+    short = Idele({x: ls.series(ctx, 0, [1], prec=4)}, ls.one(ctx, 32))
+    assert short.component(x).prec == 4
+    long = Idele({x: ls.series(ctx, 0, [1], prec=40)}, ls.one(ctx, 32))
+    assert x not in long.exceptions and long.component(x).prec == 32

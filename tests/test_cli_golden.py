@@ -17,7 +17,11 @@ recorded before a conjugation came to be verified on its description
 instead of on random samples, and pin that this changed no output.
 ``classify_p5``, ``product_p5`` and ``conjugate_p5`` were recorded before
 an extension class became a bare valuation vector, and pin that this
-changed no output.  Only
+changed no output.  ``classify_redundant_exceptions``, whose idele lists a
+unit component and whose generator lists a split permutation equal to its
+default, and ``isom_n6`` were recorded before ideles, global automorphisms
+and algebra elements came to share one finite-support form, and pin that
+the shared pruning changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -48,6 +52,10 @@ def superelliptic(ell, p, constant, factors, *flags):
 T_P5 = {"default": "1", "points": {"a": "z^1*(3 + 1*z)", "b": "z^2*(1 + 5*z^3)", "c": "z^-3*(2 + 1*z)", "d": "z^5*(4)"}}
 G1_P5 = {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 3}, "c": {"kind": "ram", "a": 4}}}
 G2_P5 = {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 2}, "b": {"kind": "ram", "a": 1}, "c": {"kind": "ram", "a": 1}, "d": {"kind": "unram", "sigma": [5, 1, 2, 3, 4]}}}
+
+T_REDUNDANT = {"default": "1", "points": {"x0": "z^1*(1)", "x1": "z^2*(3 + 1*z)", "x2": "1", "x3": "z^3*(2)"}}
+G_REDUNDANT = {"default_sigma": [2, 3, 1], "exceptions": {"x0": {"kind": "ram", "a": 1}, "x1": {"kind": "ram", "a": 2},
+    "x2": {"kind": "unram", "sigma": [2, 3, 1]}, "x3": {"kind": "unram", "sigma": [3, 1, 2]}}}
 
 REQUESTS = {
     "classify_standard": ["--p", "3", "--prec", "8", "classify", "--t", "@idele_z.json", "--g", "@aut_standard.json", "--s", "1"],
@@ -96,6 +104,11 @@ REQUESTS = {
     "conjugation_split_equals_default": conj(7, 3, {"a": "z^1*(1 + 1*z)"},
         {"default_sigma": [2, 3, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [3, 1, 2]}}},
         {"default_sigma": [3, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 3, 1]}}}),
+    # x2 is a unit component of t and an unram entry equal to the default
+    "classify_redundant_exceptions": ["--p", "3", "--prec", "8", "classify", "--t", json.dumps(T_REDUNDANT), "--g", json.dumps(G_REDUNDANT), "--s", "1"],
+    "isom_n6": ["--p", "3", "--prec", "8", "isom", "--n", "6",
+        "--a", json.dumps({"default": "1", "points": {"x0": "z^2*(1)", "x1": "z^3*(2 + 1*z)", "x2": "1"}}),
+        "--b", json.dumps({"default": "1", "points": {"x0": "z^4*(3)", "x1": "z^1*(1)"}})],
     "selftest_p2": ["--ell", "7", "--p", "2", "--prec", "8", "selftest"],
     "selftest_p3": ["--ell", "7", "--p", "3", "--prec", "8", "selftest"],
     "selftest_p5": ["--ell", "11", "--p", "5", "--prec", "8", "selftest"],
@@ -106,6 +119,7 @@ EXPECTED = json.loads(
     """{
  "classify_standard": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
  "classify_twisted": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
+ "classify_redundant_exceptions": {"outputs": {"vector": {"x0": 1, "x1": 1}}, "rc": 0},
  "classify_p5": {"outputs": {"vector": {"a": 2, "b": 3, "c": 1}}, "rc": 0},
  "conjugate_p5": {"outputs": {"b": 3, "verdict": true}, "rc": 0},
  "conjugate": {"outputs": {"b": 2, "verdict": true}, "rc": 0},
@@ -119,6 +133,7 @@ EXPECTED = json.loads(
  "conjugation_p5_unram": {"outputs": {"default_perm": [1, 5, 4, 3, 2], "split_perms": {"d": [1, 4, 2, 5, 3], "u": [1, 3, 5, 2, 4]}, "tau_power": 3, "u": {"default": "1", "points": {}}, "verdict": true, "verified": true}, "rc": 0},
  "equivalent": {"outputs": {"verdict": true}, "rc": 0},
  "equivalent_p5_false": {"outputs": {"verdict": false}, "rc": 0},
+ "isom_n6": {"outputs": {"profile_a": {"x0": 3, "x1": 2}, "profile_b": {"x0": 3, "x1": 6}, "verdict": false}, "rc": 0},
  "isom": {"outputs": {"profile_a": {"0": 3, "1": 3}, "profile_b": {"0": 3, "1": 3}, "verdict": true}, "rc": 0},
  "pairing": {"outputs": {"log": 1, "oracle_agrees": true, "pair": "L0:[2]"}, "rc": 0},
  "pairing_ell3_p5": {"outputs": {"log": 4, "oracle_agrees": true, "pair": "L1:[1,1,1,0]"}, "rc": 0},

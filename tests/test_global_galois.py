@@ -320,7 +320,7 @@ def test_eigenproject_fixed_point_and_orthogonality(ctx):
     proj = gg.eigenproject(one, G, chi, t)
     # 1 lies in the trivial eigenspace, so the nontrivial projection kills it
     assert all(s.is_zero for s in proj.default.data)
-    assert all(s.is_zero for part in proj.parts.values() for s in part.data)
+    assert all(s.is_zero for part in proj.exceptions.values() for s in part.data)
 
 
 def test_eigenproject_split_eigenline(ctx):

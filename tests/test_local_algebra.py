@@ -476,7 +476,7 @@ def test_embed_is_multiplicative(p, data):
     lhs = gg.AlgebraElement.embed(u, t, p).mul(gg.AlgebraElement.embed(v, t, p), t)
     assert lhs.matches(gg.AlgebraElement.embed(adeles.idele_mul(u, v), t, p))
     for pt in adeles.ram_locus(t, p):
-        assert lhs.part_at(pt).kind == "ram"
+        assert lhs.component(pt).kind == "ram"
 
 
 def test_monomial_and_one(ctx):
@@ -486,7 +486,7 @@ def test_monomial_and_one(ctx):
     assert part.data[0].is_zero and part.data[1].is_zero
     t = Idele({Point("x"): ls.uniformizer(ctx, 6)}, ls.one(ctx, 6))
     one = gg.AlgebraElement.one(3, t, prec=6)
-    assert one.part_at(Point("x")).matches(la.LocalPart.monomial(0, ls.one(ctx, 6), 3))
+    assert one.component(Point("x")).matches(la.LocalPart.monomial(0, ls.one(ctx, 6), 3))
     assert one.default.matches(la.LocalPart("split", [ls.one(ctx, 6)] * 3))
     # T^2 * T = T^3 = t_x
     squared = la.LocalPart.monomial(2, ls.one(ctx, 6), 3)
