@@ -77,24 +77,13 @@ class Adele:
         """The exceptions and default of x -> op(self_x, *others_x): op runs
         once at each point of the union of the supports and once on the
         defaults."""
-        default = op(self.default, *[a.default for a in others])
-        if not others:
-            return {pt: op(c) for pt, c in self.exceptions.items()}, default
-        if len(others) == 1:  # the common case: one dict lookup per operand per point, no list
-            (other,), mine = others, self.default
-            get, theirs = other.exceptions.get, other.default
-            exceptions = {pt: op(c, get(pt, theirs)) for pt, c in self.exceptions.items()}
-            for pt, c in other.exceptions.items():
-                if pt not in exceptions:
-                    exceptions[pt] = op(mine, c)
-            return exceptions, default
         operands = (self, *others)
         exceptions = {}
         for a in operands:
             for pt in a.exceptions:
                 if pt not in exceptions:
-                    exceptions[pt] = op(*[b.component(pt) for b in operands])
-        return exceptions, default
+                    exceptions[pt] = op(*[b.exceptions.get(pt, b.default) for b in operands])
+        return exceptions, op(*[b.default for b in operands])
 
 
 class Idele(Adele):
@@ -120,7 +109,9 @@ class Idele(Adele):
         return self.default.ctx
 
     def __repr__(self):
-        body = ", ".join(f"{pt.label}: {ls.to_text(s)}" for pt, s in sorted(self.exceptions.items()))
+        body = ", ".join(
+            f"{pt.label}: {ls.to_text(s)}" for pt, s in sorted(self.exceptions.items())
+        )
         return f"Idele({{{body}}}, default={ls.to_text(self.default)})"
 
 

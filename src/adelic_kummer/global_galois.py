@@ -63,7 +63,9 @@ class GlobalAutomorphism(Adele):
         return hash((self.default_sigma, frozenset(self.exceptions.items())))
 
     def __repr__(self):
-        body = ", ".join(f"{pt.label}: {aut!r}" for pt, aut in sorted(self.exceptions.items()))
+        body = ", ".join(
+            f"{pt.label}: {aut!r}" for pt, aut in sorted(self.exceptions.items())
+        )
         return f"GlobalAutomorphism(sigma={list(self.default_sigma)}, {{{body}}})"
 
     def _pointwise(self, op, *others) -> "GlobalAutomorphism":
@@ -223,7 +225,10 @@ def is_pointwise_transitive(G: CyclicSubgroup, t: Idele) -> bool:
         return False
     if not la.is_p_cycle(g.default_sigma):
         return False
-    return all(aut.order(G.p) == G.p for aut in g.exceptions.values())
+    for aut in g.exceptions.values():
+        if aut.order(G.p) != G.p:
+            return False
+    return True
 
 
 def is_galois(t: Idele, G: CyclicSubgroup) -> bool:
