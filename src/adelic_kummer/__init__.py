@@ -5,7 +5,8 @@ Modules:
     laurent        truncated Laurent series, Hensel roots of units
     adeles         the restricted-product form (exceptions plus a default), ideles,
                    valuation vectors, ramification
-    local_algebra  structure of K_x[T]/(T^n - t_x), local isomorphisms, pairings
+    local_algebra  elements and automorphisms of K_x[T]/(T^p - t_x), local
+                   isomorphisms, pairings
     global_galois  global automorphisms and algebra elements in that form,
                    Galois checks, primitive elements
     harrison       classification into valuation vectors, conjugacy classes

@@ -234,20 +234,10 @@ def idele_pow(t: Idele, k: int) -> Idele:
     return Idele(*t.combine(lambda s: ls.power(s, k)))
 
 
-def is_pth_power(t: Idele, p: int) -> bool:
-    """Kernel test: the valuation vector vanishes."""
-    return valuation_vector(t, p).is_trivial
-
-
 def pth_power_witness(t: Idele, p: int) -> Idele:
     """A componentwise p-th root (z-power division plus Hensel lifting);
-    only meaningful when is_pth_power(t, p) holds."""
+    only meaningful when the valuation vector of t vanishes."""
     return Idele(*t.combine(lambda s: ls.nth_root_series(s, p)))
-
-
-def idele_eq(t1: Idele, t2: Idele) -> bool:
-    exceptions, default = t1.combine(ls.matches, t2)
-    return default and all(exceptions.values())
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Every subcommand reads JSON (or series text sugar) from file paths, stdin
 ("-"), or inline literals, and prints one deterministic JSON response
 envelope: {command, version, inputs, outputs, diagnostics}.  Domain
-errors exit with code 2 and a machine-readable error object; malformed
-input exits with code 1.
+errors exit with code 2 and a machine-readable error object; so does a
+failed cross-check of a paper identity, with code ``CheckFailed``, which
+is a fault of the program rather than of its input.  Malformed input
+exits with code 1.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused; ``ADELIC_PREC`` is read on every call, so a caller
@@ -32,20 +34,6 @@ from . import (
 from .adeles import Idele, Point, ValuationVector
 from .coeff_field import FieldCtx
 from .errors import AdelicError
-
-COMMANDS = (
-    "classify",
-    "isom",
-    "conjugate",
-    "product",
-    "pairing",
-    "tuple",
-    "equivalent",
-    "conjugation",
-    "superelliptic",
-    "selftest",
-)
-
 
 def _read_value(value: str) -> str:
     if value == "-":

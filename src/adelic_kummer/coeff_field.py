@@ -66,7 +66,7 @@ from contextlib import suppress
 from math import comb, gcd
 from operator import attrgetter, lshift
 
-from .errors import NotARootOfUnity, ZeroInput
+from .errors import CheckFailed, NotARootOfUnity, ZeroInput
 
 
 def is_prime(n: int) -> bool:
@@ -939,7 +939,7 @@ class FieldCtx:
             if self.eq(acc, w):
                 return c
             acc = self.mul(acc, zeta)
-        raise AssertionError("mu_p enumeration cannot miss a p-th root of unity")
+        raise CheckFailed("mu_p enumeration cannot miss a p-th root of unity")
 
     # ------------------------------------------------------------------
     # root extraction
@@ -988,14 +988,15 @@ class FieldCtx:
                     break
                 acc = lay.mul(acc, gamma)
             else:
-                raise AssertionError("Pohlig-Hellman digit search failed")
+                raise CheckFailed("Pohlig-Hellman digit search failed")
         if c % r != 0:
-            raise AssertionError("element is not an r-th power despite passing the test")
+            raise CheckFailed("element is not an r-th power despite passing the test")
         v = lay.pow(eta, c // r)
         e1 = pow(r, -1, t) if t > 1 else 0
         mte = (e1 * r - 1) // t
         root = lay.mul(lay.pow(x, e1), lay.pow(v, (-mte) % (q - 1)))
-        assert lay.pow(root, r) == x
+        if lay.pow(root, r) != x:
+            raise CheckFailed(f"the computed root does not satisfy root^{r} = x")
         return root, gamma
 
     def nth_root(self, a: FieldElem, n: int) -> FieldElem:

@@ -67,10 +67,6 @@ class UnramifiedPoint(AdelicError):
     code = "UnramifiedPoint"
 
 
-class NonInvertible(AdelicError):
-    code = "NonInvertible"
-
-
 class NotGalois(AdelicError):
     code = "NotGalois"
 
@@ -89,3 +85,10 @@ class NotAdmissible(AdelicError):
 
 class PthPower(AdelicError):
     code = "PthPower"
+
+
+class CheckFailed(AdelicError):
+    """A cross-check of a paper identity failed: a fault of the program,
+    not of its input."""
+
+    code = "CheckFailed"

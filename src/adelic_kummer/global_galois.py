@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import adeles, laurent as ls, local_algebra as la
 from .adeles import Adele, Idele, Point, ValuationVector
 from .coeff_field import FieldCtx
-from .errors import NotEquivalent, NotGalois, NotTransitive, json_value
+from .errors import CheckFailed, NotEquivalent, NotGalois, NotTransitive, json_value
 
 
 def standard_p_cycle(p: int):
@@ -48,10 +48,6 @@ class GlobalAutomorphism(Adele):
         if aut.kind == "unram" and len(aut.sigma) != self.p:
             raise ValueError(f"sigma at {pt.label} is not a permutation of 1..{self.p}")
         return aut != self.default
-
-    @classmethod
-    def identity(cls, p: int) -> "GlobalAutomorphism":
-        return cls(p, {}, la.identity_perm(p))
 
     def __eq__(self, other):
         # the default sigma, a permutation of 1..p, also fixes p
@@ -187,21 +183,8 @@ class AlgebraElement(Adele):
             parts[pt] = la.LocalPart("ram", (u.component(pt),) + (zero_s,) * (p - 1))
         return cls(p, parts, la.LocalPart("split", (u.default,) * p))
 
-    @classmethod
-    def one(cls, p: int, t: Idele, prec: int = 8) -> "AlgebraElement":
-        return cls.embed(adeles.unit_idele(t.ctx, prec), t, p)
-
-    def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert self.p == other.p
-        return AlgebraElement(self.p, *self.combine(la.LocalPart.add, other))
-
     def scale(self, c) -> "AlgebraElement":
         return AlgebraElement(self.p, *self.combine(lambda part: part.scale(c)))
-
-    def mul(self, other: "AlgebraElement", t: Idele) -> "AlgebraElement":
-        """Product in the algebra over t, one point at a time."""
-        assert self.p == other.p
-        return AlgebraElement(self.p, *self.combine(la.LocalPart.mul, other, t))
 
     def apply(self, g: GlobalAutomorphism, ctx: FieldCtx) -> "AlgebraElement":
         return AlgebraElement(self.p, *self.combine(lambda part, aut: part.apply(aut, ctx), g))
@@ -311,7 +294,7 @@ def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveE
 
 def _check_eigenvector(alpha: PrimitiveElement, t, G, chi):
     if not in_eigenspace(alpha.as_algebra_element(t, prec=4), G, chi, t.ctx):
-        raise AssertionError("constructed eigenvector fails g(alpha) = chi(g) alpha")
+        raise CheckFailed("constructed eigenvector fails g(alpha) = chi(g) alpha")
 
 
 def ram_tuple(G: CyclicSubgroup, t: Idele) -> RamTuple:
@@ -387,8 +370,8 @@ def construct_conjugation(
     p = G1.p
     alpha1 = primitive_element(t, G1, chi1)
     alpha2 = primitive_element(t, G2, Character(chi1.s * pow(k, -1, p), p))
-    for pt, b1 in alpha1.ram_exponents.items():
-        assert b1 == alpha2.ram_exponents[pt], "matched projections must give equal exponents"
+    if alpha1.ram_exponents != alpha2.ram_exponents:
+        raise CheckFailed("matched projections must give equal exponents")
     split_perms, default_perm = Adele(alpha1.split_patterns, alpha1.default_pattern).combine(
         _pattern_perm, Adele(alpha2.split_patterns, alpha2.default_pattern)
     )
@@ -410,24 +393,6 @@ def verify_conjugation(
         return False
     image = phi.alpha1.as_algebra_element(t).apply(aut, t.ctx)
     return image.matches(phi.alpha2.as_algebra_element(t))
-
-
-def eigenproject(
-    sample: AlgebraElement, G: CyclicSubgroup, chi: Character, t: Idele
-) -> AlgebraElement:
-    """Apply the eigenspace idempotent (1/p) sum of chi(g^-1) g."""
-    if not is_galois(t, G):
-        raise NotGalois("projection needs a Galois action")
-    ctx = t.ctx
-    zeta = ctx.ensure_zeta()
-    p = G.p
-    acc = sample.scale(ctx.inv_int(p))
-    g_power = G.generator
-    for k in range(1, p):
-        weight = ctx.mul(ctx.pow(zeta, (-chi.s * k) % p), ctx.inv_int(p))
-        acc = acc.add(sample.apply(g_power, ctx).scale(weight))
-        g_power = G.generator.compose(g_power)
-    return acc
 
 
 def in_eigenspace(

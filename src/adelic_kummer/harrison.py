@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-from . import adeles, global_galois as gg, laurent as ls
+from . import adeles, global_galois as gg
 from .adeles import Idele, ValuationVector
-from .coeff_field import FieldCtx
 from .errors import NotGalois
 
 
@@ -36,16 +35,6 @@ def classify(t: Idele, G: gg.CyclicSubgroup, chi: gg.Character) -> ValuationVect
         raise NotGalois("classification needs a Galois action")
     alpha = gg.primitive_element(t, G, chi)
     return adeles.valuation_vector(alpha.alpha_p, G.p)
-
-
-def kummer_inverse(
-    vec: ValuationVector, ctx: FieldCtx, prec: int = ls.DEFAULT_PREC
-) -> Idele:
-    """Canonical witness idele: z^v at each support point, 1 elsewhere."""
-    exceptions = {
-        pt: ls.shift(ls.one(ctx, prec), v) for pt, v in vec.support.items()
-    }
-    return Idele(exceptions, ls.one(ctx, prec))
 
 
 def conjugacy_classes_over(points: list, p: int) -> set[ValuationVector]:

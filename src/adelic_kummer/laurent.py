@@ -29,7 +29,7 @@ of coeff_field applies when a root extraction extends the tower.
 
 from __future__ import annotations
 
-from .coeff_field import FieldCtx, FieldElem, elem_to_text, prime_factors
+from .coeff_field import FieldCtx, FieldElem, elem_to_text
 from .errors import (
     NotAUnit,
     PrecisionExhausted,
@@ -128,11 +128,6 @@ def constant(ctx: FieldCtx, c, prec: int = DEFAULT_PREC) -> LaurentSeries:
     if ctx.is_zero(c):
         return zero(ctx)
     return LaurentSeries(ctx, 0, (c,) + (ctx.zero(),) * (prec - 1), _checked=True)
-
-
-def uniformizer(ctx: FieldCtx, prec: int = DEFAULT_PREC) -> LaurentSeries:
-    """The local parameter z."""
-    return LaurentSeries(ctx, 1, (ctx.one(),) + (ctx.zero(),) * (prec - 1), _checked=True)
 
 
 # ----------------------------------------------------------------------
@@ -281,23 +276,15 @@ def hensel_pth_root(u: LaurentSeries, p: int | None = None) -> LaurentSeries:
     return scale(w, r0)
 
 
-def nth_root_series(s: LaurentSeries, n: int | None = None) -> LaurentSeries:
-    """Root of z^val * unit with val divisible by n (default ctx.p): exact
-    division of the exponent, then one Hensel root of the unit for each
-    prime factor of n, counted with multiplicity."""
+def nth_root_series(s: LaurentSeries, p: int) -> LaurentSeries:
+    """Root of z^val * unit for a prime p dividing val: exact division of
+    the exponent, then one Hensel root of the unit."""
     if s.is_zero:
         raise ZeroInverse("exact zero has no root with a valuation")
-    if n is None:
-        n = s.ctx.p
-    if s.val % n != 0:
-        raise NotAUnit(f"valuation {s.val} is not divisible by {n}")
-    root = LaurentSeries(s.ctx, 0, s.coeffs, _checked=True)
-    k = n
-    for r in prime_factors(n):
-        while k % r == 0:
-            root = hensel_pth_root(root, r)
-            k //= r
-    return shift(root, s.val // n)
+    if s.val % p != 0:
+        raise NotAUnit(f"valuation {s.val} is not divisible by {p}")
+    root = hensel_pth_root(LaurentSeries(s.ctx, 0, s.coeffs, _checked=True), p)
+    return shift(root, s.val // p)
 
 
 # ----------------------------------------------------------------------

@@ -1,89 +1,33 @@
-"""Structure of the local algebras K_x[T]/(T^n - t_x) and their elements.
+"""The rank-p local algebras K_x[T]/(T^p - t_x): elements, automorphisms,
+explicit isomorphisms and the Kummer pairing.
 
-For t_x of valuation v, put m = gcd(n, v) and e = n/m.  The algebra
-splits into m copies of the degree-e cyclic extension obtained by
-adjoining an e-th root of a chosen m-th root tau of t_x; for prime rank
-this means either a split algebra of p copies of K_x (e = 1) or a field
-(e = p).  The degree-p field is never materialized as a series ring.
+Where p divides v(t_x) the algebra splits into p copies of K_x; elsewhere
+it is the degree-p field obtained by adjoining a p-th root of t_x, which
+is never materialized as a series ring.  The ramification index
+e_x = n / gcd(n, v) of any rank n is ``adeles.ram_profile``.
 
 One type, LocalPart, holds an element of the rank-p algebra: at a
 ramified point the series coefficients of 1, T, ..., T^(p-1), multiplied
 with T^p rewritten to t_x, and elsewhere its split coordinates,
 multiplied componentwise.  Local automorphisms act on the first form by
-T -> zeta^a T and on the second by a position permutation.
-
-Coordinates in the split case are ordered by evaluation at
-(tau, xi tau, ..., xi^(m-1) tau); changing tau or xi permutes them, so
-only permutation-invariant statements are guaranteed about the ordering.
+T -> zeta^a T and on the second by a position permutation.  The split
+coordinates have no canonical order, so only permutation-invariant
+statements are guaranteed about it.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 
 from . import laurent as ls
 from .coeff_field import FieldCtx, FieldElem
 from .errors import (
+    CheckFailed,
     IncompatibleStructure,
-    NonInvertible,
     UnramifiedPoint,
     ZeroParameter,
     json_value,
 )
-
-UNRAMIFIED = "unramified"
-TOTALLY_RAMIFIED = "totally_ramified"
-MIXED = "mixed"
-
-
-class LocalStructure:
-    """Splitting data of K_x[T]/(T^n - t_x): m copies of a degree-e extension."""
-
-    __slots__ = ("n", "m", "e", "kind", "tau", "xi", "t_x")
-
-    def __init__(self, n, m, e, kind, tau, xi, t_x):
-        self.n = n
-        self.m = m
-        self.e = e
-        self.kind = kind
-        self.tau = tau  # chosen m-th root of t_x
-        self.xi = xi  # primitive m-th root of unity
-        self.t_x = t_x
-
-    def evaluate(self, poly):
-        """Split-case coordinates of a T-polynomial: (P(xi^i tau))_i.
-
-        ``poly`` lists n series coefficients of 1, T, ..., T^(n-1); only
-        valid when e = 1.
-        """
-        if self.e != 1:
-            raise IncompatibleStructure("evaluation map needs the split case e = 1")
-        ctx = self.t_x.ctx
-        coords = []
-        point = self.tau
-        for i in range(self.n):
-            acc = ls.zero(ctx)
-            # Horner from the top coefficient
-            for c in reversed(poly):
-                acc = ls.mul(acc, point)
-                if not c.is_zero:
-                    acc = ls.add(acc, c)
-            coords.append(acc)
-            point = ls.scale(point, self.xi)
-        return tuple(coords)
-
-
-def local_structure(t_x: ls.LaurentSeries, n: int, ctx: FieldCtx) -> LocalStructure:
-    if t_x.is_zero:
-        raise ZeroParameter("local parameter must be nonzero")
-    v = t_x.valuation()
-    m = gcd(n, v)
-    e = n // m
-    kind = UNRAMIFIED if e == 1 else (TOTALLY_RAMIFIED if e == n else MIXED)
-    tau = ls.nth_root_series(t_x, m)
-    xi = ctx.ensure_root_of_unity(m)
-    return LocalStructure(n, m, e, kind, tau, xi, t_x)
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +208,6 @@ class LocalPart:
         zero_s = ls.zero(c.ctx)
         return cls("ram", (zero_s,) * b + (c,) + (zero_s,) * (p - 1 - b))
 
-    def add(self, other: "LocalPart") -> "LocalPart":
-        assert self.kind == other.kind
-        return LocalPart(self.kind, map(ls.add, self.data, other.data))
-
     def scale(self, c: FieldElem) -> "LocalPart":
         return LocalPart(self.kind, (ls.scale(s, c) for s in self.data))
 
@@ -350,7 +290,8 @@ def local_isom(
         quotient = ls.divide(t1x, ls.power(t2x, c))
     factor = ls.nth_root_series(quotient, p)
     phi = LocalIsomorphism(c, factor, integral=(v1 == v2))
-    assert ls.matches(phi.image_of_t(t2x, p), ls.truncate(t1x, phi.factor.prec))
+    if not ls.matches(phi.image_of_t(t2x, p), ls.truncate(t1x, phi.factor.prec)):
+        raise CheckFailed("the local isomorphism does not carry T^p to t1")
     return phi
 
 
@@ -397,94 +338,3 @@ def oracle_pair(
     if not ctx.eq(ctx.pow(ratio, p), ctx.one()) or not image.matches(y.scale(ratio)):
         return None
     return ctx.project(ratio)
-
-
-# ----------------------------------------------------------------------
-# characteristic polynomials of local eigenvectors
-
-
-def _pol_add(ctx, f, g):
-    n = max(len(f), len(g))
-    z = ls.zero(ctx)
-    return [
-        ls.add(f[i] if i < len(f) else z, g[i] if i < len(g) else z) for i in range(n)
-    ]
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _ram_monomial(alpha: LocalPart):
-    """(b, c) of a ramified eigenvector c * T^b."""
-    support = [b for b, c in enumerate(alpha.data) if not c.is_zero]
-    if not support:
-        raise NonInvertible("eigenvector unit coefficient is zero")
-    if len(support) > 1:
-        raise ValueError("a ramified eigenvector must be a monomial c * T^b")
-    return support[0], alpha.data[support[0]]
-
-
-def char_poly_primitive(alpha: LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
-    """Characteristic polynomial of multiplication by a local eigenvector,
-    as the Leibniz determinant of T*I - M over the p-dimensional algebra.
-
-    ``alpha`` is a monomial "ram" part or a "split" part.  Returns p+1
-    series coefficients, constant term first.
-    """
-    if len(alpha.data) != p:
-        raise ValueError("eigenvector needs p coordinates")
-    zero_s = ls.zero(ctx)
-    m = [[zero_s] * p for _ in range(p)]
-    if alpha.kind == "ram":
-        b, unit = _ram_monomial(alpha)
-        for j in range(p):
-            k = b + j
-            m[k % p][j] = unit if k < p else ls.mul(unit, t_x)
-    else:
-        if any(c.is_zero for c in alpha.data):
-            raise NonInvertible("split eigenvector has a zero coordinate")
-        for j in range(p):
-            m[j][j] = alpha.data[j]
-
-    # entries of T*I - M as linear polynomials in T
-    prec = min(
-        [c.prec for row in m for c in row if not c.is_zero] + [t_x.prec]
-    )
-    one_s = ls.one(ctx, prec)
-    entry = [
-        [[ls.neg(m[i][j])] + ([one_s] if i == j else []) for j in range(p)]
-        for i in range(p)
-    ]
-    det = [zero_s]
-    for perm in itertools.permutations(range(p)):
-        term = [one_s]
-        for i in range(p):
-            term = _pol_mul(ctx, term, entry[i][perm[i]])
-        if _perm_sign(perm) < 0:
-            term = [ls.neg(c) for c in term]
-        det = _pol_add(ctx, det, term)
-    return det
-
-
-def eigenvector_pth_power(alpha: LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
-    """alpha^p as an element of the base: unit^p t^b, or the split diagonal."""
-    if alpha.kind == "ram":
-        b, unit = _ram_monomial(alpha)
-        return ls.mul(ls.power(unit, p), ls.power(t_x, b))
-    first = ls.power(alpha.data[0], p)
-    for c in alpha.data[1:]:
-        assert ls.matches(ls.power(c, p), ls.truncate(first, min(first.prec, c.prec)))
-    return first

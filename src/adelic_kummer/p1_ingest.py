@@ -20,7 +20,7 @@ from math import gcd
 from . import adeles, global_galois as gg, harrison as hr, laurent as ls
 from .adeles import Idele, INFINITY, Point
 from .coeff_field import FieldCtx, FieldElem, elem_to_text
-from .errors import NotAdmissible, PthPower, json_value
+from .errors import CheckFailed, NotAdmissible, PthPower, json_value
 
 
 class RationalFunction:
@@ -183,7 +183,8 @@ def classify_superelliptic(
     t = germ_idele(f, prec)
     G = gg.standard_kummer_subgroup(t, p)
     pipeline = hr.classify(t, G, gg.Character(1, p))
-    assert pipeline == direct, "divisor route and germ route disagree"
+    if pipeline != direct:
+        raise CheckFailed("divisor route and germ route disagree")
     return SuperellipticClassification(
         vec=direct,
         ram=direct.points(),

@@ -1,0 +1,276 @@
+"""Reference definitions that only the tests call.
+
+The program reaches the local and global algebras through ideles,
+automorphisms, primitive elements and the Kummer pairing.  The splitting
+data of K_x[T]/(T^n - t_x), a Leibniz characteristic polynomial, the
+eigenspace projector and the other definitions here serve as independent
+checks of that code, so they live beside the tests that use them.  Methods
+of the program's classes become functions taking the instance first.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import gcd
+
+from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
+from adelic_kummer.adeles import Idele, ValuationVector
+from adelic_kummer.coeff_field import FieldCtx, prime_factors
+from adelic_kummer.errors import (
+    AdelicError,
+    IncompatibleStructure,
+    NotAUnit,
+    NotGalois,
+    ZeroInverse,
+    ZeroParameter,
+)
+
+
+class NonInvertible(AdelicError):
+    code = "NonInvertible"
+
+
+# ----------------------------------------------------------------------
+# series
+
+
+def uniformizer(ctx: FieldCtx, prec: int = ls.DEFAULT_PREC) -> ls.LaurentSeries:
+    """The local parameter z."""
+    return ls.LaurentSeries(ctx, 1, (ctx.one(),) + (ctx.zero(),) * (prec - 1), _checked=True)
+
+
+def nth_root_series(s: ls.LaurentSeries, n: int | None = None) -> ls.LaurentSeries:
+    """Root of z^val * unit with val divisible by n (default ctx.p): exact
+    division of the exponent, then one Hensel root of the unit for each
+    prime factor of n, counted with multiplicity."""
+    if s.is_zero:
+        raise ZeroInverse("exact zero has no root with a valuation")
+    if n is None:
+        n = s.ctx.p
+    if s.val % n != 0:
+        raise NotAUnit(f"valuation {s.val} is not divisible by {n}")
+    root = ls.LaurentSeries(s.ctx, 0, s.coeffs, _checked=True)
+    k = n
+    for r in prime_factors(n):
+        while k % r == 0:
+            root = ls.hensel_pth_root(root, r)
+            k //= r
+    return ls.shift(root, s.val // n)
+
+
+# ----------------------------------------------------------------------
+# ideles and classes
+
+
+def is_pth_power(t: Idele, p: int) -> bool:
+    """Kernel test: the valuation vector vanishes."""
+    return adeles.valuation_vector(t, p).is_trivial
+
+
+def idele_eq(t1: Idele, t2: Idele) -> bool:
+    exceptions, default = t1.combine(ls.matches, t2)
+    return default and all(exceptions.values())
+
+
+def kummer_inverse(
+    vec: ValuationVector, ctx: FieldCtx, prec: int = ls.DEFAULT_PREC
+) -> Idele:
+    """Canonical witness idele: z^v at each support point, 1 elsewhere."""
+    exceptions = {
+        pt: ls.shift(ls.one(ctx, prec), v) for pt, v in vec.support.items()
+    }
+    return Idele(exceptions, ls.one(ctx, prec))
+
+
+# ----------------------------------------------------------------------
+# structure of the local algebras K_x[T]/(T^n - t_x)
+
+UNRAMIFIED = "unramified"
+TOTALLY_RAMIFIED = "totally_ramified"
+MIXED = "mixed"
+
+
+class LocalStructure:
+    """Splitting data of K_x[T]/(T^n - t_x): m copies of a degree-e extension."""
+
+    __slots__ = ("n", "m", "e", "kind", "tau", "xi", "t_x")
+
+    def __init__(self, n, m, e, kind, tau, xi, t_x):
+        self.n = n
+        self.m = m
+        self.e = e
+        self.kind = kind
+        self.tau = tau  # chosen m-th root of t_x
+        self.xi = xi  # primitive m-th root of unity
+        self.t_x = t_x
+
+    def evaluate(self, poly):
+        """Split-case coordinates of a T-polynomial: (P(xi^i tau))_i.
+
+        ``poly`` lists n series coefficients of 1, T, ..., T^(n-1); only
+        valid when e = 1.
+        """
+        if self.e != 1:
+            raise IncompatibleStructure("evaluation map needs the split case e = 1")
+        ctx = self.t_x.ctx
+        coords = []
+        point = self.tau
+        for i in range(self.n):
+            acc = ls.zero(ctx)
+            # Horner from the top coefficient
+            for c in reversed(poly):
+                acc = ls.mul(acc, point)
+                if not c.is_zero:
+                    acc = ls.add(acc, c)
+            coords.append(acc)
+            point = ls.scale(point, self.xi)
+        return tuple(coords)
+
+
+def local_structure(t_x: ls.LaurentSeries, n: int, ctx: FieldCtx) -> LocalStructure:
+    if t_x.is_zero:
+        raise ZeroParameter("local parameter must be nonzero")
+    v = t_x.valuation()
+    m = gcd(n, v)
+    e = n // m
+    kind = UNRAMIFIED if e == 1 else (TOTALLY_RAMIFIED if e == n else MIXED)
+    tau = nth_root_series(t_x, m)
+    xi = ctx.ensure_root_of_unity(m)
+    return LocalStructure(n, m, e, kind, tau, xi, t_x)
+
+
+def local_part_add(self: la.LocalPart, other: la.LocalPart) -> la.LocalPart:
+    assert self.kind == other.kind
+    return la.LocalPart(self.kind, map(ls.add, self.data, other.data))
+
+
+# ----------------------------------------------------------------------
+# characteristic polynomials of local eigenvectors
+
+
+def _pol_add(ctx, f, g):
+    n = max(len(f), len(g))
+    z = ls.zero(ctx)
+    return [
+        ls.add(f[i] if i < len(f) else z, g[i] if i < len(g) else z) for i in range(n)
+    ]
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _ram_monomial(alpha: la.LocalPart):
+    """(b, c) of a ramified eigenvector c * T^b."""
+    support = [b for b, c in enumerate(alpha.data) if not c.is_zero]
+    if not support:
+        raise NonInvertible("eigenvector unit coefficient is zero")
+    if len(support) > 1:
+        raise ValueError("a ramified eigenvector must be a monomial c * T^b")
+    return support[0], alpha.data[support[0]]
+
+
+def char_poly_primitive(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
+    """Characteristic polynomial of multiplication by a local eigenvector,
+    as the Leibniz determinant of T*I - M over the p-dimensional algebra.
+
+    ``alpha`` is a monomial "ram" part or a "split" part.  Returns p+1
+    series coefficients, constant term first.
+    """
+    if len(alpha.data) != p:
+        raise ValueError("eigenvector needs p coordinates")
+    zero_s = ls.zero(ctx)
+    m = [[zero_s] * p for _ in range(p)]
+    if alpha.kind == "ram":
+        b, unit = _ram_monomial(alpha)
+        for j in range(p):
+            k = b + j
+            m[k % p][j] = unit if k < p else ls.mul(unit, t_x)
+    else:
+        if any(c.is_zero for c in alpha.data):
+            raise NonInvertible("split eigenvector has a zero coordinate")
+        for j in range(p):
+            m[j][j] = alpha.data[j]
+
+    # entries of T*I - M as linear polynomials in T
+    prec = min(
+        [c.prec for row in m for c in row if not c.is_zero] + [t_x.prec]
+    )
+    one_s = ls.one(ctx, prec)
+    entry = [
+        [[ls.neg(m[i][j])] + ([one_s] if i == j else []) for j in range(p)]
+        for i in range(p)
+    ]
+    det = [zero_s]
+    for perm in itertools.permutations(range(p)):
+        term = [one_s]
+        for i in range(p):
+            term = la._pol_mul(ctx, term, entry[i][perm[i]])
+        if _perm_sign(perm) < 0:
+            term = [ls.neg(c) for c in term]
+        det = _pol_add(ctx, det, term)
+    return det
+
+
+def eigenvector_pth_power(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
+    """alpha^p as an element of the base: unit^p t^b, or the split diagonal."""
+    if alpha.kind == "ram":
+        b, unit = _ram_monomial(alpha)
+        return ls.mul(ls.power(unit, p), ls.power(t_x, b))
+    first = ls.power(alpha.data[0], p)
+    for c in alpha.data[1:]:
+        assert ls.matches(ls.power(c, p), ls.truncate(first, min(first.prec, c.prec)))
+    return first
+
+
+# ----------------------------------------------------------------------
+# global automorphisms and algebra elements
+
+
+def identity_automorphism(p: int) -> gg.GlobalAutomorphism:
+    return gg.GlobalAutomorphism(p, {}, la.identity_perm(p))
+
+
+def algebra_one(p: int, t: Idele, prec: int = 8) -> gg.AlgebraElement:
+    return gg.AlgebraElement.embed(adeles.unit_idele(t.ctx, prec), t, p)
+
+
+def algebra_add(self: gg.AlgebraElement, other: gg.AlgebraElement) -> gg.AlgebraElement:
+    assert self.p == other.p
+    return gg.AlgebraElement(self.p, *self.combine(local_part_add, other))
+
+
+def algebra_mul(self: gg.AlgebraElement, other: gg.AlgebraElement, t: Idele) -> gg.AlgebraElement:
+    """Product in the algebra over t, one point at a time."""
+    assert self.p == other.p
+    return gg.AlgebraElement(self.p, *self.combine(la.LocalPart.mul, other, t))
+
+
+def eigenproject(
+    sample: gg.AlgebraElement, G: gg.CyclicSubgroup, chi: gg.Character, t: Idele
+) -> gg.AlgebraElement:
+    """Apply the eigenspace idempotent (1/p) sum of chi(g^-1) g."""
+    if not gg.is_galois(t, G):
+        raise NotGalois("projection needs a Galois action")
+    ctx = t.ctx
+    zeta = ctx.ensure_zeta()
+    p = G.p
+    acc = sample.scale(ctx.inv_int(p))
+    g_power = G.generator
+    for k in range(1, p):
+        weight = ctx.mul(ctx.pow(zeta, (-chi.s * k) % p), ctx.inv_int(p))
+        acc = algebra_add(acc, sample.apply(g_power, ctx).scale(weight))
+        g_power = G.generator.compose(g_power)
+    return acc

@@ -464,6 +464,31 @@ def test_selftest(capsys):
     assert "pairing_oracle" in names and "conjugacy_agreement" in names
 
 
+def test_selftest_reports_a_failed_conjugation_check(capsys, monkeypatch):
+    from adelic_kummer import global_galois as gg
+
+    monkeypatch.setattr(gg, "verify_conjugation", lambda phi, G1, G2, t: False)
+    code, body = run_cli(["--p", "3", "selftest"], capsys)
+    assert code == 2
+    assert {c["name"]: c["ok"] for c in body["outputs"]["checks"]}["conjugacy_agreement"] is False
+
+
+def test_a_germ_route_that_drops_a_factor_exits_2(capsys, monkeypatch):
+    from adelic_kummer import p1_ingest as p1
+
+    germ_idele = p1.germ_idele
+
+    def without_first_factor(f, prec):
+        rest = dict(list(f.factors.items())[1:])
+        return germ_idele(p1.RationalFunction(f.ctx, f.constant, rest), prec)
+
+    monkeypatch.setattr(p1, "germ_idele", without_first_factor)
+    code, body = run_cli(["--p", "3", "superelliptic", "--f", data_path("x_xm1sq.json")], capsys)
+    assert code == 2
+    assert body["error"]["code"] == "CheckFailed"
+    assert body["error"]["message"] == "divisor route and germ route disagree"
+
+
 def test_byte_identical_runs(capsys):
     argv = ["--p", "3", "superelliptic", "--f", data_path("x_xm1sq.json")]
     code1 = cli.main(argv)

@@ -16,7 +16,7 @@ from adelic_kummer.coeff_field import (
     elem_from_text,
     elem_to_text,
 )
-from adelic_kummer.errors import NotARootOfUnity, ZeroInput
+from adelic_kummer.errors import CheckFailed, NotARootOfUnity, ZeroInput
 
 
 def brute_orders(ell):
@@ -367,3 +367,21 @@ def test_invalid_ctx_rejected():
         FieldCtx(7, 4)
     with pytest.raises(ValueError):
         FieldCtx(3, 3)
+
+
+def test_a_wrong_root_fails_the_root_post_check(monkeypatch):
+    # 19 - 1 = 3^2 * 2: the cube-root descent in F_19 reads two digits of
+    # a discrete log in the Sylow 3-subgroup.  With gamma^2 = gamma^-1 in
+    # place of the order-3 element gamma, the second digit of 8 = 2^3 (2
+    # generates F_19^*) comes out negated, and so does the root's Sylow part
+    ctx = FieldCtx(19, 3)
+    sylow = FieldCtx._sylow_data
+
+    def inverted_gamma(self, level, r):
+        eta, gamma, t, s = sylow(self, level, r)
+        lay = self._layouts[level]
+        return eta, lay.mul(gamma, gamma), t, s
+
+    monkeypatch.setattr(FieldCtx, "_sylow_data", inverted_gamma)
+    with pytest.raises(CheckFailed, match="does not satisfy root"):
+        ctx.nth_root(ctx.elem(8), 3)

@@ -12,6 +12,8 @@ from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_alge
 from adelic_kummer.adeles import Idele, Point
 from adelic_kummer.coeff_field import FieldCtx
 
+import oracles
+
 ELL_FOR = {2: 7, 3: 7, 5: 11}
 LABELS = "abcd"
 OUTSIDE = Point("z")  # in no support drawn here
@@ -95,7 +97,7 @@ def test_idele_operations_are_pointwise(p, data):
         assert honest(prod.component(pt), ls.mul(t1.component(pt), t2.component(pt)))
         assert honest(pw.component(pt), ls.power(t1.component(pt), k))
         assert honest(root.component(pt), ls.nth_root_series(cube.component(pt), p))
-    assert adeles.idele_eq(prod, adeles.idele_mul(t2, t1))
+    assert oracles.idele_eq(prod, adeles.idele_mul(t2, t1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
