@@ -115,10 +115,6 @@ class Idele(Adele):
         return f"Idele({{{body}}}, default={ls.to_text(self.default)})"
 
 
-def unit_idele(ctx: FieldCtx, prec: int = ls.DEFAULT_PREC) -> Idele:
-    return Idele({}, ls.one(ctx, prec))
-
-
 class ValuationVector:
     """Finite-support vector in the direct sum of Z/(p) over points."""
 
@@ -178,30 +174,6 @@ class ValuationVector:
         })
 
 
-class RamProfile:
-    """Ramification indices e_x > 1 at the finitely many ramified points."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: dict):
-        for pt, e in entries.items():
-            if e <= 1 or n % e != 0:
-                raise ValueError(f"bad ramification index {e} at {pt.label}")
-        self.n = n
-        self.entries = dict(entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RamProfile)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{pt.label}: {e}" for pt, e in sorted(self.entries.items()))
-        return f"RamProfile(n={self.n}, {{{body}}})"
-
-
 # ----------------------------------------------------------------------
 # operations
 
@@ -216,14 +188,15 @@ def ram_locus(t: Idele, p: int) -> list[Point]:
     return valuation_vector(t, p).points()
 
 
-def ram_profile(t: Idele, n: int) -> RamProfile:
-    """e_x = n / gcd(n, v_x(t_x)) at every point where that exceeds 1."""
+def ram_profile(t: Idele, n: int) -> dict[Point, int]:
+    """The ramification index e_x = n / gcd(n, v_x(t_x)) of every point
+    where it exceeds 1."""
     entries = {}
     for pt, s in t.exceptions.items():
         e = n // gcd(n, s.valuation())
         if e > 1:
             entries[pt] = e
-    return RamProfile(n, entries)
+    return entries
 
 
 def idele_mul(t1: Idele, t2: Idele) -> Idele:
@@ -242,13 +215,6 @@ def pth_power_witness(t: Idele, p: int) -> Idele:
 
 # ----------------------------------------------------------------------
 # JSON forms
-
-
-def idele_to_json(t: Idele) -> dict:
-    return {
-        "default": ls.to_text(t.default),
-        "points": {pt.label: ls.to_text(s) for pt, s in sorted(t.exceptions.items())},
-    }
 
 
 def idele_from_json(ctx: FieldCtx, data: dict, prec: int = ls.DEFAULT_PREC) -> Idele:

@@ -160,8 +160,8 @@ def run(args) -> dict:
         prof_a, prof_b = adeles.ram_profile(a, n), adeles.ram_profile(b, n)
         return {
             "verdict": prof_a == prof_b,
-            "profile_a": {pt.label: e for pt, e in sorted(prof_a.entries.items())},
-            "profile_b": {pt.label: e for pt, e in sorted(prof_b.entries.items())},
+            "profile_a": {pt.label: e for pt, e in sorted(prof_a.items())},
+            "profile_b": {pt.label: e for pt, e in sorted(prof_b.items())},
         }
 
     if args.command == "conjugate":

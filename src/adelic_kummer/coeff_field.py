@@ -47,10 +47,12 @@ y = v^(-1/p) (Brent and Kung) on packed windows, then takes
 w = v y^(p-1); its coefficient levels follow the series Newton iteration
 it replaced (see ``window_root``), so root literals keep their levels.
 
-Canonical choices.  Roots of unity and p-th roots are picked as the
-lexicographically smallest candidate (on flat coordinates) at the minimal
-sufficient level, which makes every construction reproducible.  The
-candidates are powers of the seeded Sylow generators of root extraction.
+Canonical choices.  Every root has prime order: zeta is a primitive p-th
+root of unity, and ``nth_root`` takes r-th roots for a prime r other than
+ell.  Each is picked as the lexicographically smallest candidate (on flat
+coordinates) at the minimal sufficient level, which makes every
+construction reproducible.  The candidates are one root times the powers
+of the order-r element of the level's seeded Sylow generator.
 
 Concurrency: a FieldCtx is append-only.  Tower extension must be
 serialized by the caller (single writer); concurrent readers are safe on
@@ -538,7 +540,6 @@ class FieldCtx:
         self.p = p
         # step polynomials, monic, as flat coordinate tuples of the level below
         self._steps: list[tuple[tuple[int, ...], ...]] = []
-        self._unity_cache: dict[int, FieldElem] = {}
         self._sylow_cache: dict[tuple[int, int], tuple] = {}
         self._l0 = tuple(FieldElem(0, (x,)) for x in range(ell))
         self._layouts: list[_WindowLayout] = [_PrimeLayout(ell, self._l0)]
@@ -889,44 +890,23 @@ class FieldCtx:
         self._layouts.append(_next_layout(below, poly))
         return self.levels - 1
 
-    def ensure_root_of_unity(self, m: int) -> FieldElem:
-        """A cached element of exact multiplicative order m.
-
-        At the lowest level with m | q - 1, extending the tower by one step
-        when none qualifies, the product y of eta^(r^s / gcd(m, r^s)) over
-        the Sylow generators eta (order r^s) for the primes r | m has order
-        m.  Its generators y^k, gcd(k, m) = 1, are the elements of order m
-        in cyclic F_q^*; the lexicographically smallest is returned.
-        """
-        if m == 1:
-            return self.one()
-        if m in self._unity_cache:
-            return self._unity_cache[m]
-        if m % self.ell == 0:
-            raise ValueError(f"no elements of order {m} in characteristic {self.ell}")
-        level = next((i for i in range(self.levels) if (self.level_size(i) - 1) % m == 0), None)
-        if level is None:
-            top = self.levels - 1
-            deg = multiplicative_order(self.level_size(top), m)
-            poly = self._random_irreducible(top, deg)
-            level = self._append_step(poly)
-        lay = self._layouts[level]
-        y = lay.one
-        for r in prime_factors(m):
-            eta, _, _, s = self._sylow_data(level, r)
-            y = lay.mul(y, lay.pow(eta, r**s // gcd(m, r**s)))
-        acc = least = y
-        for k in range(2, m):
-            acc = lay.mul(acc, y)
-            if gcd(k, m) == 1:
-                least = min(least, acc)
-        zeta = self._unity_cache[m] = lay.elem(least)
-        return zeta
-
     def ensure_zeta(self) -> FieldElem:
-        """The distinguished primitive p-th root of unity (cached, stable)."""
+        """The distinguished primitive p-th root of unity (cached, stable).
+
+        At the lowest level with p | q - 1, extending the tower by one step
+        of degree ord_p(q) when none qualifies, the elements of order p are
+        the powers gamma^k, 0 < k < p, of the order-p element gamma of the
+        level's Sylow data; the lexicographically smallest is returned.
+        """
         if self.zeta is None:
-            self.zeta = self.ensure_root_of_unity(self.p)
+            p = self.p
+            level = next((i for i in range(self.levels) if (self.level_size(i) - 1) % p == 0), None)
+            if level is None:
+                top = self.levels - 1
+                poly = self._random_irreducible(top, multiplicative_order(self.level_size(top), p))
+                level = self._append_step(poly)
+            gamma = self._sylow_data(level, p)[1]
+            self.zeta = _least_in_coset(self._layouts[level], gamma, gamma, p - 1)
         return self.zeta
 
     def log_zeta(self, w: FieldElem) -> int:
@@ -999,29 +979,15 @@ class FieldCtx:
             raise CheckFailed(f"the computed root does not satisfy root^{r} = x")
         return root, gamma
 
-    def nth_root(self, a: FieldElem, n: int) -> FieldElem:
-        """Canonical n-th root, extending the tower when necessary.
-
-        Factors n into primes and extracts one prime root at a time; each
-        prime root is the lexicographically smallest candidate at the
-        minimal sufficient level.
+    def nth_root(self, a: FieldElem, r: int) -> FieldElem:
+        """Canonical r-th root for a prime r other than ell, extending the
+        tower when necessary: the lexicographically smallest root at the
+        lowest level that holds one.  Raises ValueError for any other r.
         """
+        if r == self.ell or not is_prime(r):
+            raise ValueError(f"root order {r} is not a prime other than the characteristic {self.ell}")
         if self.is_zero(a):
             raise ZeroInput("0 has no canonical root here")
-        result = a
-        for r in prime_factors(n):
-            k = n
-            count = 0
-            while k % r == 0:
-                k //= r
-                count += 1
-            for _ in range(count):
-                result = self._prime_root(result, r)
-        return result
-
-    def _prime_root(self, a: FieldElem, r: int):
-        if r % self.ell == 0:
-            raise ValueError("root order divisible by the characteristic")
         for level in range(a.level, self.levels):
             lay = self._layouts[level]
             q = lay.size

@@ -74,9 +74,6 @@ class GlobalAutomorphism(Adele):
             raise ValueError("rank mismatch")
         return self._pointwise(lambda a, b: a.compose(b, self.p), other)
 
-    def inverse(self) -> "GlobalAutomorphism":
-        return self._pointwise(lambda a: a.inverse(self.p))
-
     def power(self, k: int) -> "GlobalAutomorphism":
         return self._pointwise(lambda a: a.power(k, self.p))
 
@@ -319,17 +316,15 @@ def galois_equivalent(G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele) -> bool:
 class Conjugation:
     """Descriptor of a conjugating pair: tau(g1) = g2^k, and phi acting as
     the identity at ramified points and a coordinate permutation rho at
-    split points, with phi(alpha1) = u alpha2 on primitive elements; the
-    constructed u is always the unit idele, kept for the JSON.  As a map,
-    phi is ``automorphism()``, and ``verify_conjugation`` checks it exactly
-    on that description."""
+    split points, with phi(alpha1) = u alpha2 on primitive elements for the
+    unit idele u = 1.  As a map, phi is ``automorphism()``, and
+    ``verify_conjugation`` checks it exactly on that description."""
 
-    __slots__ = ("p", "k", "u", "split_perms", "default_perm", "alpha1", "alpha2")
+    __slots__ = ("p", "k", "split_perms", "default_perm", "alpha1", "alpha2")
 
-    def __init__(self, p, k, u, split_perms, default_perm, alpha1, alpha2):
+    def __init__(self, p, k, split_perms, default_perm, alpha1, alpha2):
         self.p = p
         self.k = k
-        self.u = u
         self.split_perms = split_perms  # Point -> one-line permutation
         self.default_perm = default_perm
         self.alpha1 = alpha1
@@ -345,7 +340,7 @@ class Conjugation:
     def to_json(self) -> dict:
         return {
             "tau_power": self.k,
-            "u": adeles.idele_to_json(self.u),
+            "u": {"default": "1", "points": {}},
             "default_perm": list(self.default_perm),
             "split_perms": {
                 pt.label: list(perm) for pt, perm in sorted(self.split_perms.items())
@@ -377,8 +372,7 @@ def construct_conjugation(
     )
     # u = 1: the ramified exponents are equal, and eigen_pattern puts
     # zeta^0 first in every split pattern of both primitive elements
-    u = adeles.unit_idele(t.ctx, t.default.prec)
-    return Conjugation(p, k, u, split_perms, default_perm, alpha1, alpha2)
+    return Conjugation(p, k, split_perms, default_perm, alpha1, alpha2)
 
 
 def verify_conjugation(

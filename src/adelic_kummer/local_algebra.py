@@ -146,11 +146,6 @@ class LocalAutomorphism:
             return LocalAutomorphism.ram(self.a + other.a, p)
         return LocalAutomorphism.unram(perm_compose(self.sigma, other.sigma))
 
-    def inverse(self, p: int) -> "LocalAutomorphism":
-        if self.kind == "ram":
-            return LocalAutomorphism.ram(-self.a, p)
-        return LocalAutomorphism.unram(perm_inverse(self.sigma))
-
     def power(self, k: int, p: int) -> "LocalAutomorphism":
         if self.kind == "ram":
             return LocalAutomorphism.ram(self.a * k, p)

@@ -15,7 +15,7 @@ from math import gcd
 
 from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
 from adelic_kummer.adeles import Idele, ValuationVector
-from adelic_kummer.coeff_field import FieldCtx, prime_factors
+from adelic_kummer.coeff_field import FieldCtx, FieldElem, prime_factors
 from adelic_kummer.errors import (
     AdelicError,
     IncompatibleStructure,
@@ -28,6 +28,22 @@ from adelic_kummer.errors import (
 
 class NonInvertible(AdelicError):
     code = "NonInvertible"
+
+
+# ----------------------------------------------------------------------
+# roots of unity
+
+
+def reference_root_of_unity(ctx: FieldCtx, level: int, m: int) -> FieldElem:
+    """The first element of exact order m at ``level``, scanning the level
+    in lexicographic order on flat coordinates."""
+    one = ctx.one()
+    for flat in itertools.product(range(ctx.ell), repeat=ctx.abs_degree(level)):
+        x = FieldElem(level, flat)
+        if ctx.eq(ctx.pow(x, m), one) and not any(
+            ctx.eq(ctx.pow(x, m // r), one) for r in prime_factors(m)
+        ):
+            return x
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +76,17 @@ def nth_root_series(s: ls.LaurentSeries, n: int | None = None) -> ls.LaurentSeri
 
 # ----------------------------------------------------------------------
 # ideles and classes
+
+
+def unit_idele(ctx: FieldCtx, prec: int = ls.DEFAULT_PREC) -> Idele:
+    return Idele({}, ls.one(ctx, prec))
+
+
+def idele_to_json(t: Idele) -> dict:
+    return {
+        "default": ls.to_text(t.default),
+        "points": {pt.label: ls.to_text(s) for pt, s in sorted(t.exceptions.items())},
+    }
 
 
 def is_pth_power(t: Idele, p: int) -> bool:
@@ -134,8 +161,10 @@ def local_structure(t_x: ls.LaurentSeries, n: int, ctx: FieldCtx) -> LocalStruct
     m = gcd(n, v)
     e = n // m
     kind = UNRAMIFIED if e == 1 else (TOTALLY_RAMIFIED if e == n else MIXED)
+    if (ctx.ell - 1) % m:
+        raise ValueError(f"F_{ctx.ell} has no primitive {m}-th root of unity")
     tau = nth_root_series(t_x, m)
-    xi = ctx.ensure_root_of_unity(m)
+    xi = reference_root_of_unity(ctx, 0, m)
     return LocalStructure(n, m, e, kind, tau, xi, t_x)
 
 
@@ -239,12 +268,22 @@ def eigenvector_pth_power(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ct
 # global automorphisms and algebra elements
 
 
+def local_automorphism_inverse(self: la.LocalAutomorphism, p: int) -> la.LocalAutomorphism:
+    if self.kind == "ram":
+        return la.LocalAutomorphism.ram(-self.a, p)
+    return la.LocalAutomorphism.unram(la.perm_inverse(self.sigma))
+
+
+def automorphism_inverse(self: gg.GlobalAutomorphism) -> gg.GlobalAutomorphism:
+    return self._pointwise(lambda a: local_automorphism_inverse(a, self.p))
+
+
 def identity_automorphism(p: int) -> gg.GlobalAutomorphism:
     return gg.GlobalAutomorphism(p, {}, la.identity_perm(p))
 
 
 def algebra_one(p: int, t: Idele, prec: int = 8) -> gg.AlgebraElement:
-    return gg.AlgebraElement.embed(adeles.unit_idele(t.ctx, prec), t, p)
+    return gg.AlgebraElement.embed(unit_idele(t.ctx, prec), t, p)
 
 
 def algebra_add(self: gg.AlgebraElement, other: gg.AlgebraElement) -> gg.AlgebraElement:

@@ -1,6 +1,5 @@
 """Tower arithmetic: canonical roots of unity, p-th roots, field axioms."""
 
-import itertools
 import json
 import os
 import random
@@ -15,8 +14,12 @@ from adelic_kummer.coeff_field import (
     FieldElem,
     elem_from_text,
     elem_to_text,
+    is_prime,
+    multiplicative_order,
 )
 from adelic_kummer.errors import CheckFailed, NotARootOfUnity, ZeroInput
+
+from oracles import reference_root_of_unity
 
 
 def brute_orders(ell):
@@ -29,22 +32,6 @@ def brute_orders(ell):
             k += 1
         orders[x] = k
     return orders
-
-
-def prime_divisors(n):
-    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
-
-
-def reference_root_of_unity(ctx, level, m):
-    """The first element of exact order m at ``level``, scanning the level
-    in lexicographic order on flat coordinates."""
-    one = ctx.one()
-    for flat in itertools.product(range(ctx.ell), repeat=ctx.abs_degree(level)):
-        x = FieldElem(level, flat)
-        if ctx.eq(ctx.pow(x, m), one) and not any(
-            ctx.eq(ctx.pow(x, m // r), one) for r in prime_divisors(m)
-        ):
-            return x
 
 
 def run_child(*args):
@@ -156,47 +143,34 @@ def test_pth_root_canonical_and_deterministic():
 
 
 def test_nth_root_composite_order():
+    # only prime orders other than the characteristic are taken
     ctx = FieldCtx(7, 3)
-    for a in range(1, 7):
-        r = ctx.nth_root(ctx.elem(a), 6)
-        assert ctx.eq(ctx.pow(r, 6), ctx.elem(a))
+    for r in (1, 4, 6, ctx.ell):
+        with pytest.raises(ValueError, match="not a prime"):
+            ctx.nth_root(ctx.elem(2), r)
+    assert ctx.levels == 1
 
 
-def test_root_of_unity_general_order():
-    ctx = FieldCtx(7, 3)
-    xi = ctx.ensure_root_of_unity(2)
-    assert xi == ctx.elem(6)
-    xi6 = ctx.ensure_root_of_unity(6)
-    assert ctx.eq(ctx.pow(xi6, 6), ctx.one())
-    assert not ctx.eq(ctx.pow(xi6, 2), ctx.one())
-    assert not ctx.eq(ctx.pow(xi6, 3), ctx.one())
-
-
-# (ell, p, elements whose p-th roots are taken first, orders m in the order
-# asked); every level reached has at most 4,096 elements, so the scan is quick
-REFERENCE_CASES = [
-    (7, 3, [], [2, 3, 6, 9, 18, 19, 38, 57, 114, 171, 342]),
-    (7, 3, [2], [9, 19, 3, 171, 342, 6]),
-    (13, 3, [2], [3, 4, 12, 9, 61, 183, 36, 2196]),
-    (11, 5, [], [2, 5, 10, 3, 4, 6, 8, 12, 24, 40, 60, 120]),
-    (2, 3, [], [3, 5, 15, 7, 21, 63, 4095]),
-    (3, 2, [], [2, 4, 8, 13, 26, 52, 104]),
-    (5, 3, [], [2, 4, 3, 6, 8, 12, 24]),
+# every (ell, p) with ell, p < 60 whose zeta level has at most 4,096
+# elements, so the scan is quick
+PRIMES = [n for n in range(2, 60) if is_prime(n)]
+ZETA_PAIRS = [
+    (ell, p)
+    for ell in PRIMES
+    for p in PRIMES
+    if p != ell and ell ** multiplicative_order(ell, p) <= 4096
 ]
 
 
-@pytest.mark.parametrize("ell,p,roots,orders", REFERENCE_CASES)
-def test_root_of_unity_matches_the_reference_scan(ell, p, roots, orders):
+@pytest.mark.parametrize("ell,p", ZETA_PAIRS)
+def test_root_of_unity_matches_the_reference_scan(ell, p):
     ctx = FieldCtx(ell, p)
-    for a in roots:
-        ctx.nth_root(ctx.elem(a), p)
-    for m in orders:
-        xi = ctx.ensure_root_of_unity(m)
-        sizes = [ctx.level_size(i) for i in range(xi.level + 1)]
-        # the lowest level whose group order m divides
-        assert (sizes[-1] - 1) % m == 0
-        assert all((q - 1) % m for q in sizes[:-1])
-        assert xi == reference_root_of_unity(ctx, xi.level, m)
+    zeta = ctx.ensure_zeta()
+    sizes = [ctx.level_size(i) for i in range(zeta.level + 1)]
+    # the lowest level whose group order p divides
+    assert (sizes[-1] - 1) % p == 0
+    assert all((q - 1) % p for q in sizes[:-1])
+    assert zeta == reference_root_of_unity(ctx, zeta.level, p)
 
 
 def tower_json(ell, p, steps):

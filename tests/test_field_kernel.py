@@ -596,10 +596,17 @@ def gauss_count(q, d):
 
 
 def field_of_size(q):
-    """A context and a level with q elements."""
-    ell, p, m = {2: (2, 3, 1), 3: (3, 2, 1), 4: (2, 3, 3), 9: (3, 2, 4), 16: (2, 5, 5)}[q]
+    """A context and a level with q elements: F_2 and F_3 at level 0, F_4
+    and F_16 at the zeta level of (2,3) and (2,5), and F_9 from the square
+    root of the non-square 2 mod 3."""
+    ell, p = {2: (2, 3), 3: (3, 2), 4: (2, 3), 9: (3, 2), 16: (2, 5)}[q]
     ctx = FieldCtx(ell, p)
-    level = ctx.ensure_root_of_unity(m).level
+    if q in (4, 16):
+        level = ctx.ensure_zeta().level
+    elif q == 9:
+        level = ctx.nth_root(ctx.elem(2), 2).level
+    else:
+        level = 0
     assert ctx.level_size(level) == q
     return ctx, level
 

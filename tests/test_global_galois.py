@@ -73,7 +73,7 @@ def test_is_galois_kummer_action(ctx):
     t = mk_idele(ctx, {"x0": "z", "x1": "z^2*(1 + 1*z)"})
     G = kummer_group(t, 3)
     assert gg.is_galois(t, G)
-    assert gg.is_galois(adeles.unit_idele(ctx), gg.standard_kummer_subgroup(adeles.unit_idele(ctx), 3))
+    assert gg.is_galois(oracles.unit_idele(ctx), gg.standard_kummer_subgroup(oracles.unit_idele(ctx), 3))
 
 
 def test_strong_distinctness_at_split_idempotents(ctx):
@@ -117,7 +117,7 @@ def test_primitive_element_inverse_exponent(ctx):
 
 
 def test_primitive_element_split_pattern(ctx):
-    t = adeles.unit_idele(ctx)
+    t = oracles.unit_idele(ctx)
     G = gg.standard_kummer_subgroup(t, 3)
     alpha = gg.primitive_element(t, G, gg.Character(1, 3))
     assert alpha.default_pattern == (0, 1, 2)  # (1, zeta, zeta^2)
@@ -212,7 +212,7 @@ def test_galois_equivalent_orbits(ctx):
     assert gg.galois_equivalent(G12, G21, t)  # b = 2
     assert not gg.galois_equivalent(G11, G12, t)
     # empty ramification: always equivalent
-    u = adeles.unit_idele(ctx)
+    u = oracles.unit_idele(ctx)
     Ga = gg.standard_kummer_subgroup(u, 3)
     gb = gg.GlobalAutomorphism(3, {}, (3, 1, 2))
     assert gg.galois_equivalent(Ga, gg.CyclicSubgroup(gb, 3), u)
@@ -223,7 +223,7 @@ def test_construct_conjugation_identity(ctx):
     G = kummer_group(t, 3)
     phi = gg.construct_conjugation(G, G, t, gg.Character(1, 3))
     assert phi.k == 1
-    assert not phi.u.exceptions
+    assert phi.to_json()["u"] == {"default": "1", "points": {}}
     assert phi.default_perm == (1, 2, 3)
     assert gg.verify_conjugation(phi, G, G, t)
 
@@ -253,7 +253,7 @@ def test_verify_conjugation_rejects_a_tampered_phi(ctx):
     assert gg.verify_conjugation(phi, G12, G21, t)
 
     def tampered(k, default_perm):
-        return gg.Conjugation(3, k, phi.u, phi.split_perms, default_perm, phi.alpha1, phi.alpha2)
+        return gg.Conjugation(3, k, phi.split_perms, default_perm, phi.alpha1, phi.alpha2)
 
     # rotated split coordinates still intertwine the two actions, but send
     # alpha1 to zeta^j alpha2 with j != 0, not to u alpha2 with u = 1
@@ -327,7 +327,7 @@ def test_eigenproject_fixed_point_and_orthogonality(ctx):
 
 def test_eigenproject_split_eigenline(ctx):
     rng = random.Random(4)
-    t = adeles.unit_idele(ctx)
+    t = oracles.unit_idele(ctx)
     G = gg.standard_kummer_subgroup(t, 3)
     chi = gg.Character(2, 3)
     sample = random_algebra_element(ctx, t, 3, rng)
@@ -397,7 +397,7 @@ def accepted_powers(g1, g2, p, ram, split):
             exceptions = {pt: la.LocalAutomorphism.ram(e, p) for pt, e in zip(ram, exps)}
             exceptions.update((pt, la.LocalAutomorphism.unram(s)) for pt, s in zip(split, sigmas))
             phi = gg.GlobalAutomorphism(p, exceptions, sigmas[-1])
-            conjugates.add(phi.compose(g1).compose(phi.inverse()))
+            conjugates.add(phi.compose(g1).compose(oracles.automorphism_inverse(phi)))
     return {k for k in range(1, p) if g2.power(k) in conjugates}
 
 
@@ -444,7 +444,7 @@ def test_galois_equivalence_against_brute_force_conjugation():
                 # fixes k: a phi that differs only in k is no conjugation
                 wrong_ks = set(range(1, p)) - {phi.k} if ram else set()
                 for k in wrong_ks:
-                    wrong = gg.Conjugation(p, k, phi.u, phi.split_perms, phi.default_perm, phi.alpha1, phi.alpha2)
+                    wrong = gg.Conjugation(p, k, phi.split_perms, phi.default_perm, phi.alpha1, phi.alpha2)
                     assert not gg.verify_conjugation(wrong, G1, G2, t)
             else:
                 with pytest.raises(NotEquivalent):

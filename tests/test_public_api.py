@@ -8,10 +8,14 @@ definition itself, as a bare name, an attribute or an imported name.  A
 docstring that mentions it does not count, and neither do the tests: a
 definition that only the tests call belongs in ``tests/oracles.py``.
 
-Methods are out of scope.  Names such as ``add`` and ``mul`` recur across
-classes, so an attribute reference cannot be tied to one class; the
-methods that only the tests called were found by hand and moved to
-``tests/oracles.py`` as functions.
+Public methods of the classes at the top level of a module are scanned
+too, with a conservative rule.  Names such as ``add`` and ``mul`` recur
+across classes, so an attribute reference cannot be tied to one class: a
+method passes when its name is referred to anywhere in those files outside
+its own definition, or when a string constant under ``bench/`` names it as
+``module.Class.method``, which is how the bench tracer lists the methods
+it leaves untimed.  A method that only the tests call moves to
+``tests/oracles.py`` as a function taking the instance first.
 """
 
 import ast
@@ -56,21 +60,58 @@ def referenced_names(node, skip=None):
     return found
 
 
-def unused_public_names():
-    trees = {
+def public_methods(tree):
+    """(Class.method, node) of each public non-dunder method of a top-level
+    class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def parse_callers():
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in CALLERS
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+
+
+def unused(trees, definitions):
+    """The names, prefixed by their module, of ``definitions(tree)`` in each
+    module of the package whose last part no caller file refers to outside
+    the definition itself."""
     names = {path: referenced_names(tree) for path, tree in trees.items()}
-    unused = []
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, node in public_definitions(trees[path]):
-            elsewhere = any(name in found for other, found in names.items() if other != path)
+        for qualified, node in definitions(trees[path]):
+            name = qualified.rpartition(".")[2]
+            elsewhere = any(name in used for other, used in names.items() if other != path)
             if not elsewhere and name not in referenced_names(trees[path], skip=node):
-                unused.append(f"{path.stem}.{name}")
-    return unused
+                found.append(f"{path.stem}.{qualified}")
+    return found
+
+
+def unused_public_names():
+    return unused(parse_callers(), public_definitions)
+
+
+def unused_public_methods():
+    trees = parse_callers()
+    named_in_bench = {
+        node.value
+        for path, tree in trees.items()
+        if path.is_relative_to(ROOT / "bench")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return [name for name in unused(trees, public_methods) if name not in named_in_bench]
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    assert unused_public_methods() == []
