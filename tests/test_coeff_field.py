@@ -163,7 +163,7 @@ ZETA_PAIRS = [
 
 
 @pytest.mark.parametrize("ell,p", ZETA_PAIRS)
-def test_root_of_unity_matches_the_reference_scan(ell, p):
+def test_zeta_matches_the_reference_scan(ell, p):
     ctx = FieldCtx(ell, p)
     zeta = ctx.ensure_zeta()
     sizes = [ctx.level_size(i) for i in range(zeta.level + 1)]
@@ -171,6 +171,38 @@ def test_root_of_unity_matches_the_reference_scan(ell, p):
     assert (sizes[-1] - 1) % p == 0
     assert all((q - 1) % p for q in sizes[:-1])
     assert zeta == reference_root_of_unity(ctx, zeta.level, p)
+
+
+# (ell, p, elements whose p-th roots are taken first, prime orders r in the
+# order asked); the root of unity of order r is the zeta of (ell, r), built
+# on a tower the p-th roots may already have extended.  Every level reached
+# has at most 4,096 elements, so the scan is quick
+REFERENCE_CASES = [
+    (7, 3, [], [2, 3, 19]),
+    (7, 3, [2], [19, 3, 2]),
+    (13, 3, [2], [3, 2, 61]),
+    (11, 5, [], [2, 5, 3]),
+    (2, 3, [], [3, 5, 7, 13]),
+    (3, 2, [], [2, 13, 7]),
+    (5, 3, [], [2, 3]),
+]
+
+
+@pytest.mark.parametrize("ell,p,roots,orders", REFERENCE_CASES)
+def test_root_of_unity_matches_the_reference_scan(ell, p, roots, orders):
+    for r in orders:
+        ctx = FieldCtx(ell, r)
+        for a in roots:
+            ctx.nth_root(ctx.elem(a), p)
+        levels = ctx.levels
+        xi = ctx.ensure_zeta()
+        sizes = [ctx.level_size(i) for i in range(xi.level + 1)]
+        # the lowest level whose group order r divides, the tower grown
+        # by at most one step
+        assert (sizes[-1] - 1) % r == 0
+        assert all((q - 1) % r for q in sizes[:-1])
+        assert ctx.levels - levels <= 1
+        assert xi == reference_root_of_unity(ctx, xi.level, r)
 
 
 def tower_json(ell, p, steps):
