@@ -7,8 +7,8 @@ Modules:
                    valuation vectors, ramification
     local_algebra  elements and automorphisms of K_x[T]/(T^p - t_x), local
                    isomorphisms, pairings
-    global_galois  global automorphisms and algebra elements in that form,
-                   Galois checks, primitive elements
+    global_galois  global automorphisms in that form, Galois checks,
+                   primitive elements and conjugations as finite descriptions
     harrison       classification into valuation vectors, conjugacy classes
     p1_ingest      rational functions on the projective line, superelliptic covers
     cli            JSON command-line front end

@@ -3,12 +3,13 @@
 Points are opaque ordered labels; only the projective-line layer attaches
 coordinates to them.  ``Adele`` is the one finite form of a global object:
 a finite exception map plus a default component used at every unlisted
-point, with one pointwise combinator over the union of supports.  Ideles,
-global automorphisms and algebra elements are its subclasses; each decides
-which exceptions are redundant.  An idele's canonical default is the
-constant series 1, matching integrality at almost all points.  Valuation
-vectors and ramification profiles are the mod-p and gcd images of the
-component valuations.
+point, with one pointwise combinator over the union of supports.  Ideles
+and global automorphisms are its subclasses; each decides which exceptions
+are redundant.  The residue patterns of a primitive element and the
+permutations of a conjugation are plain ``Adele``s.  An idele's canonical
+default is the constant series 1, matching integrality at almost all
+points.  Valuation vectors and ramification profiles are the mod-p and
+gcd images of the component valuations.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ INFINITY = Point(INF_LABEL)
 class Adele:
     """Finitely many local exceptions plus one default used at every other
     point: the restricted-product form shared by ideles, global
-    automorphisms and algebra elements.
+    automorphisms, and the patterns and permutations that describe
+    primitive elements and conjugations.
 
     A subclass may define ``_keep(pt, component)`` to check each exception
     and drop the redundant ones; without it every exception is kept.

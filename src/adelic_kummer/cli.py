@@ -202,7 +202,7 @@ def run(args) -> dict:
         G1 = _subgroup(_read_json(args.g1), p)
         G2 = _subgroup(_read_json(args.g2), p)
         phi = gg.construct_conjugation(G1, G2, t, gg.Character(args.s, p))
-        out = {"verdict": True, "verified": gg.verify_conjugation(phi, G1, G2, t)}
+        out = {"verdict": True, "verified": gg.verify_conjugation(phi, G1, G2)}
         out.update(phi.to_json())
         return out
 
@@ -283,7 +283,7 @@ def selftest(ctx: FieldCtx, prec: int) -> dict:
         equiv = gg.galois_equivalent(G1, G2, t)
         try:
             phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
-            built = gg.verify_conjugation(phi, G1, G2, t)
+            built = gg.verify_conjugation(phi, G1, G2)
         except AdelicError:
             built = False
         ok = ok and (equiv == built)

@@ -1,18 +1,22 @@
 """Global automorphisms of rank-p adelic algebras and their Galois theory.
 
-A global automorphism, like an algebra element, has the restricted-product
-form of ``adeles.Adele``: finitely many local exceptions plus one default
-(a permutation, a split part) used at every unlisted, necessarily split,
-point.  Operations run pointwise through ``Adele.combine``.  This finite
-description is closed under composition and covers, up to the
-equivalences decided here, every p-cyclic subgroup the deciders quantify
-over.
+A global automorphism has the restricted-product form of ``adeles.Adele``:
+finitely many local exceptions plus one default permutation used at
+every unlisted, necessarily split, point.  Operations run pointwise
+through ``Adele.combine``.  This finite description is closed under
+composition and covers, up to the equivalences decided here, every
+p-cyclic subgroup the deciders quantify over.
 
 The operations: transitivity/Galois checks, construction of eigenvector
 primitive elements, ramified-tuple invariants via the local Kummer
 pairing, Galois equivalence of subgroups, and explicit conjugations
-(phi, tau).  phi is itself a global automorphism, so phi . g = tau(g) . phi
-is verified exactly, as an equality of two finite descriptions.
+(phi, tau).  A primitive element is a finite description too: an exponent
+b at each ramified point and a residue pattern c at each split point, for
+alpha = T^b and alpha = (zeta^c_j)_j.  Because zeta has exact order p,
+g(alpha) = chi(g) alpha and phi(alpha1) = alpha2 are congruences mod p on
+those descriptions, and are checked as such.  phi is itself a global
+automorphism, so phi . g = tau(g) . phi is verified exactly, as an
+equality of two finite descriptions.
 The ramified tuple is a valuation vector whose entries are units; Galois
 equivalence and the power k of tau(g1) = g2^k both come from
 ``ValuationVector.ratio``, which also decides conjugacy of classes.
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from . import adeles, laurent as ls, local_algebra as la
 from .adeles import Adele, Idele, Point, ValuationVector
-from .coeff_field import FieldCtx
 from .errors import CheckFailed, NotEquivalent, NotGalois, NotTransitive, json_value
 
 
@@ -154,46 +157,6 @@ class RamTuple(ValuationVector):
 
 
 # ----------------------------------------------------------------------
-# algebra elements: finite maps point -> local part, split elsewhere
-
-
-class AlgebraElement(Adele):
-    """Element of a rank-p adelic algebra with finite support: exceptional
-    local parts, and the split ``default`` used at every unlisted point.
-    No exception is dropped."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int, exceptions, default: la.LocalPart):
-        assert default.kind == "split"
-        self.p = p
-        super().__init__(exceptions, default)
-
-    @classmethod
-    def embed(cls, u: Idele, t: Idele, p: int) -> "AlgebraElement":
-        """Diagonal embedding of a base element, respecting t's part kinds:
-        the constant T-polynomial u_x at ramified points, p equal
-        coordinates elsewhere."""
-        zero_s = ls.zero(u.ctx)
-        parts = {pt: la.LocalPart("split", (s,) * p) for pt, s in u.exceptions.items()}
-        for pt in adeles.ram_locus(t, p):
-            parts[pt] = la.LocalPart("ram", (u.component(pt),) + (zero_s,) * (p - 1))
-        return cls(p, parts, la.LocalPart("split", (u.default,) * p))
-
-    def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.p, *self.combine(lambda part: part.scale(c)))
-
-    def apply(self, g: GlobalAutomorphism, ctx: FieldCtx) -> "AlgebraElement":
-        return AlgebraElement(self.p, *self.combine(lambda part, aut: part.apply(aut, ctx), g))
-
-    def matches(self, other: "AlgebraElement") -> bool:
-        if self.p != other.p:
-            return False
-        exceptions, default = self.combine(la.LocalPart.matches, other)
-        return default and all(exceptions.values())
-
-
-# ----------------------------------------------------------------------
 # Galois structure deciders
 
 
@@ -234,8 +197,10 @@ def eigen_pattern(sigma, s: int, p: int):
 
 class PrimitiveElement:
     """Eigenvector alpha with g(alpha) = chi(g) alpha whose p-th power is
-    an idele: T^b with a b = s at ramified points, zeta-power patterns at
-    split points."""
+    an idele, held as its description: T^b with a b = s at each ramified
+    point, and the split coordinates (zeta^c_j)_j with the residue pattern
+    c of ``eigen_pattern`` at each split point, ``default_pattern`` at
+    every unlisted one."""
 
     __slots__ = ("p", "s", "ram_exponents", "split_patterns", "default_pattern", "alpha_p")
 
@@ -247,23 +212,9 @@ class PrimitiveElement:
         self.default_pattern = default_pattern
         self.alpha_p = alpha_p
 
-    def as_algebra_element(self, t: Idele, prec: int = 8) -> AlgebraElement:
-        ctx = t.ctx
-        zeta = ctx.ensure_zeta()
-        one_s = ls.one(ctx, prec)
-        parts = {
-            pt: la.LocalPart.monomial(b, one_s, self.p)
-            for pt, b in self.ram_exponents.items()
-        }
-
-        def split(pattern):
-            return la.LocalPart(
-                "split", (ls.constant(ctx, ctx.pow(zeta, c), prec) for c in pattern)
-            )
-
-        for pt, pattern in self.split_patterns.items():
-            parts[pt] = split(pattern)
-        return AlgebraElement(self.p, parts, split(self.default_pattern))
+    def patterns(self) -> Adele:
+        """The residue patterns in restricted-product form."""
+        return Adele(self.split_patterns, self.default_pattern)
 
 
 def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveElement:
@@ -285,12 +236,27 @@ def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveE
     default_pattern = eigen_pattern(g.default_sigma, s, p)
     alpha_p = Idele(alpha_p_parts, ls.one(t.ctx, t.default.prec))
     alpha = PrimitiveElement(p, s, ram_exponents, split_patterns, default_pattern, alpha_p)
-    _check_eigenvector(alpha, t, G, chi)
+    _check_eigenvector(alpha, G, chi)
     return alpha
 
 
-def _check_eigenvector(alpha: PrimitiveElement, t, G, chi):
-    if not in_eigenspace(alpha.as_algebra_element(t, prec=4), G, chi, t.ctx):
+def _check_eigenvector(alpha: PrimitiveElement, G: CyclicSubgroup, chi: Character):
+    """g(alpha) = chi(g) alpha on the description.  zeta has exact order p,
+    so g(T^b) = zeta^(a b) T^b asks a b = s mod p at each ramified point of
+    g, and (g alpha)_j = zeta^c[sigma(j)] asks c[sigma(j)] = c[j] + s mod p
+    for every j at each split point and at the default."""
+    p, s, g = G.p, chi.s, G.generator
+
+    def split_eigen(c, aut):
+        return aut.kind == "ram" or all(c[k - 1] == (cj + s) % p for k, cj in zip(aut.sigma, c))
+
+    ramified = all(
+        aut.a * alpha.ram_exponents.get(pt, 0) % p == s
+        for pt, aut in g.exceptions.items()
+        if aut.kind == "ram"
+    )
+    exceptions, default = alpha.patterns().combine(split_eigen, g)
+    if not (ramified and default and all(exceptions.values())):
         raise CheckFailed("constructed eigenvector fails g(alpha) = chi(g) alpha")
 
 
@@ -355,6 +321,12 @@ def _pattern_perm(pattern1, pattern2):
     return tuple(position[c] for c in pattern2)
 
 
+def _reads_through(pattern1, rho, pattern2) -> bool:
+    """Whether pattern1[rho(j)] = pattern2[j] for every j: reading the
+    coordinates through rho carries (zeta^pattern1) to (zeta^pattern2)."""
+    return all(pattern1[r - 1] == c for r, c in zip(rho, pattern2))
+
+
 def construct_conjugation(
     G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele, chi1: Character
 ) -> Conjugation:
@@ -367,33 +339,30 @@ def construct_conjugation(
     alpha2 = primitive_element(t, G2, Character(chi1.s * pow(k, -1, p), p))
     if alpha1.ram_exponents != alpha2.ram_exponents:
         raise CheckFailed("matched projections must give equal exponents")
-    split_perms, default_perm = Adele(alpha1.split_patterns, alpha1.default_pattern).combine(
-        _pattern_perm, Adele(alpha2.split_patterns, alpha2.default_pattern)
-    )
+    split_perms, default_perm = alpha1.patterns().combine(_pattern_perm, alpha2.patterns())
     # u = 1: the ramified exponents are equal, and eigen_pattern puts
     # zeta^0 first in every split pattern of both primitive elements
     return Conjugation(p, k, split_perms, default_perm, alpha1, alpha2)
 
 
-def verify_conjugation(
-    phi: Conjugation, G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele
-) -> bool:
+def verify_conjugation(phi: Conjugation, G1: CyclicSubgroup, G2: CyclicSubgroup) -> bool:
     """Check phi . g1 = g2^k . phi exactly, as equal descriptions (a
     description fixes the action at every point), then phi(alpha1) = alpha2
-    (u is 1).  phi permutes split coordinates and fixes ramified parts, so
-    it is a ring map by construction and its multiplicativity needs no check."""
+    (u is 1) on the primitive elements' descriptions: phi fixes T^b, so the
+    ramified exponents must be equal, and it reads split coordinates
+    through rho, so pattern1[rho(j)] = pattern2[j] at each split point and
+    at the default.  phi permutes split coordinates and fixes ramified
+    parts, so it is a ring map by construction and its multiplicativity
+    needs no check."""
     aut = phi.automorphism()
     if aut.compose(G1.generator) != G2.generator.power(phi.k).compose(aut):
         return False
-    image = phi.alpha1.as_algebra_element(t).apply(aut, t.ctx)
-    return image.matches(phi.alpha2.as_algebra_element(t))
-
-
-def in_eigenspace(
-    elem: AlgebraElement, G: CyclicSubgroup, chi: Character, ctx: FieldCtx
-) -> bool:
-    zeta = ctx.ensure_zeta()
-    return elem.apply(G.generator, ctx).matches(elem.scale(ctx.pow(zeta, chi.s)))
+    if phi.alpha1.ram_exponents != phi.alpha2.ram_exponents:
+        return False
+    exceptions, default = phi.alpha1.patterns().combine(
+        _reads_through, Adele(phi.split_perms, phi.default_perm), phi.alpha2.patterns()
+    )
+    return default and all(exceptions.values())
 
 
 def standard_kummer_subgroup(t: Idele, p: int) -> CyclicSubgroup:

@@ -6,13 +6,12 @@ it is the degree-p field obtained by adjoining a p-th root of t_x, which
 is never materialized as a series ring.  The ramification index
 e_x = n / gcd(n, v) of any rank n is ``adeles.ram_profile``.
 
-One type, LocalPart, holds an element of the rank-p algebra: at a
-ramified point the series coefficients of 1, T, ..., T^(p-1), multiplied
-with T^p rewritten to t_x, and elsewhere its split coordinates,
-multiplied componentwise.  Local automorphisms act on the first form by
-T -> zeta^a T and on the second by a position permutation.  The split
-coordinates have no canonical order, so only permutation-invariant
-statements are guaranteed about it.
+LocalPart holds an element of the rank-p algebra as the series
+coefficients of 1, T, ..., T^(p-1), multiplied with T^p rewritten to t_x;
+a local automorphism T -> zeta^a T acts on it by scaling the coefficient
+of T^j by zeta^(a j).  The program computes in this form only in the
+pairing oracle ``oracle_pair``, at a ramified point; the split algebra is
+reached only through the finite descriptions of ``global_galois``.
 """
 
 from __future__ import annotations
@@ -186,55 +185,45 @@ def _pol_mul(ctx, f, g):
 
 
 class LocalPart:
-    """Element of one local algebra K_x[T]/(T^p - t_x): T-polynomial
-    coefficients at a ramified point ("ram"), or split coordinates
-    elsewhere ("split").  Entries are series, possibly exact zero
-    (algebra elements need not be invertible)."""
+    """Element of one local algebra K_x[T]/(T^p - t_x): the series
+    coefficients of 1, T, ..., T^(p-1), possibly exact zero (algebra
+    elements need not be invertible)."""
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("data",)
 
-    def __init__(self, kind, data):
-        self.kind = kind  # "ram" | "split"
+    def __init__(self, data):
         self.data = tuple(data)
 
     @classmethod
     def monomial(cls, b: int, c: ls.LaurentSeries, p: int) -> "LocalPart":
-        """c * T^b at a ramified point, 0 <= b < p."""
+        """c * T^b, 0 <= b < p."""
         zero_s = ls.zero(c.ctx)
-        return cls("ram", (zero_s,) * b + (c,) + (zero_s,) * (p - 1 - b))
+        return cls((zero_s,) * b + (c,) + (zero_s,) * (p - 1 - b))
 
     def scale(self, c: FieldElem) -> "LocalPart":
-        return LocalPart(self.kind, (ls.scale(s, c) for s in self.data))
+        return LocalPart(ls.scale(s, c) for s in self.data)
 
     def mul(self, other: "LocalPart", t_x: ls.LaurentSeries) -> "LocalPart":
-        """Product over T^p = t_x: componentwise on split coordinates; at a
-        ramified point one convolution, then each degree k >= p folds onto
-        k - p with one multiply by t_x."""
-        assert self.kind == other.kind
-        if self.kind == "split":
-            return LocalPart("split", map(ls.mul, self.data, other.data))
+        """Product over T^p = t_x: one convolution, then each degree k >= p
+        folds onto k - p with one multiply by t_x."""
         p = len(self.data)
         conv = _pol_mul(t_x.ctx, self.data, other.data)
         for k in range(p, len(conv)):
             if not conv[k].is_zero:
                 conv[k - p] = ls.add(conv[k - p], ls.mul(conv[k], t_x))
-        return LocalPart("ram", conv[:p])
+        return LocalPart(conv[:p])
 
-    def apply(self, aut: LocalAutomorphism, ctx: FieldCtx | None = None) -> "LocalPart":
-        """T -> zeta^a T on T-polynomial coefficients (needs ``ctx``), and
-        (g v)_j = v_{sigma(j)} on split coordinates."""
-        if self.kind == "ram":
-            assert aut.kind == "ram"
-            zeta = ctx.ensure_zeta()
-            return LocalPart("ram", [
-                c if c.is_zero else ls.scale(c, ctx.pow(zeta, aut.a * j))
-                for j, c in enumerate(self.data)
-            ])
-        assert aut.kind == "unram"
-        return LocalPart("split", (self.data[i - 1] for i in aut.sigma))
+    def apply(self, aut: LocalAutomorphism, ctx: FieldCtx) -> "LocalPart":
+        """T -> zeta^a T."""
+        assert aut.kind == "ram"
+        zeta = ctx.ensure_zeta()
+        return LocalPart([
+            c if c.is_zero else ls.scale(c, ctx.pow(zeta, aut.a * j))
+            for j, c in enumerate(self.data)
+        ])
 
     def matches(self, other: "LocalPart") -> bool:
-        return self.kind == other.kind and all(map(ls.matches, self.data, other.data))
+        return all(map(ls.matches, self.data, other.data))
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Reference definitions that only the tests call.
 
 The program reaches the local and global algebras through ideles,
-automorphisms, primitive elements and the Kummer pairing.  The splitting
-data of K_x[T]/(T^n - t_x), a Leibniz characteristic polynomial, the
-eigenspace projector and the other definitions here serve as independent
-checks of that code, so they live beside the tests that use them.  Methods
-of the program's classes become functions taking the instance first.
+automorphisms, the finite descriptions of primitive elements and
+conjugations, and the Kummer pairing.  The splitting data of
+K_x[T]/(T^n - t_x), a Leibniz characteristic polynomial, the eigenspace
+projector, and the series model of an algebra element (``SplitPart``
+beside ``la.LocalPart``, ``AlgebraElement``, ``as_algebra_element`` and
+``in_eigenspace``) serve as independent checks of that code, so they live
+beside the tests that use them.  Methods of the program's classes become
+functions taking the instance first.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from math import gcd
 
 from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
-from adelic_kummer.adeles import Idele, ValuationVector
+from adelic_kummer.adeles import Adele, Idele, ValuationVector
 from adelic_kummer.coeff_field import FieldCtx, FieldElem, prime_factors
 from adelic_kummer.errors import (
     AdelicError,
@@ -168,9 +171,35 @@ def local_structure(t_x: ls.LaurentSeries, n: int, ctx: FieldCtx) -> LocalStruct
     return LocalStructure(n, m, e, kind, tau, xi, t_x)
 
 
-def local_part_add(self: la.LocalPart, other: la.LocalPart) -> la.LocalPart:
-    assert self.kind == other.kind
-    return la.LocalPart(self.kind, map(ls.add, self.data, other.data))
+class SplitPart:
+    """Element of the split algebra K_x^p at a point where p divides
+    v(t_x): p series coordinates, multiplied componentwise.  The split
+    coordinates have no canonical order, so only permutation-invariant
+    statements are guaranteed about them."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = tuple(data)
+
+    def scale(self, c: FieldElem) -> "SplitPart":
+        return SplitPart(ls.scale(s, c) for s in self.data)
+
+    def mul(self, other: "SplitPart", t_x: ls.LaurentSeries) -> "SplitPart":
+        return SplitPart(map(ls.mul, self.data, other.data))
+
+    def apply(self, aut: la.LocalAutomorphism, ctx: FieldCtx | None = None) -> "SplitPart":
+        """(g v)_j = v_{sigma(j)}."""
+        assert aut.kind == "unram"
+        return SplitPart(self.data[i - 1] for i in aut.sigma)
+
+    def matches(self, other: "SplitPart") -> bool:
+        return all(map(ls.matches, self.data, other.data))
+
+
+def local_part_add(self, other):
+    assert type(self) is type(other)
+    return type(self)(map(ls.add, self.data, other.data))
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +244,14 @@ def char_poly_primitive(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ctx:
     """Characteristic polynomial of multiplication by a local eigenvector,
     as the Leibniz determinant of T*I - M over the p-dimensional algebra.
 
-    ``alpha`` is a monomial "ram" part or a "split" part.  Returns p+1
+    ``alpha`` is a monomial ``la.LocalPart`` or a ``SplitPart``.  Returns p+1
     series coefficients, constant term first.
     """
     if len(alpha.data) != p:
         raise ValueError("eigenvector needs p coordinates")
     zero_s = ls.zero(ctx)
     m = [[zero_s] * p for _ in range(p)]
-    if alpha.kind == "ram":
+    if isinstance(alpha, la.LocalPart):
         b, unit = _ram_monomial(alpha)
         for j in range(p):
             k = b + j
@@ -255,7 +284,7 @@ def char_poly_primitive(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ctx:
 
 def eigenvector_pth_power(alpha: la.LocalPart, t_x: ls.LaurentSeries, p: int, ctx: FieldCtx):
     """alpha^p as an element of the base: unit^p t^b, or the split diagonal."""
-    if alpha.kind == "ram":
+    if isinstance(alpha, la.LocalPart):
         b, unit = _ram_monomial(alpha)
         return ls.mul(ls.power(unit, p), ls.power(t_x, b))
     first = ls.power(alpha.data[0], p)
@@ -282,24 +311,97 @@ def identity_automorphism(p: int) -> gg.GlobalAutomorphism:
     return gg.GlobalAutomorphism(p, {}, la.identity_perm(p))
 
 
-def algebra_one(p: int, t: Idele, prec: int = 8) -> gg.AlgebraElement:
-    return gg.AlgebraElement.embed(unit_idele(t.ctx, prec), t, p)
+def random_p_cycle(p: int, rng) -> tuple:
+    """A random p-cycle in one-line form (1-based images)."""
+    rest = list(range(2, p + 1))
+    rng.shuffle(rest)
+    cycle = [1] + rest
+    sigma = [0] * p
+    for i in range(p):
+        sigma[cycle[i] - 1] = cycle[(i + 1) % p]
+    return tuple(sigma)
 
 
-def algebra_add(self: gg.AlgebraElement, other: gg.AlgebraElement) -> gg.AlgebraElement:
+class AlgebraElement(Adele):
+    """Element of a rank-p adelic algebra with finite support: exceptional
+    local parts, and the split ``default`` used at every unlisted point.
+    No exception is dropped."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int, exceptions, default: SplitPart):
+        assert isinstance(default, SplitPart)
+        self.p = p
+        super().__init__(exceptions, default)
+
+    @classmethod
+    def embed(cls, u: Idele, t: Idele, p: int) -> "AlgebraElement":
+        """Diagonal embedding of a base element, respecting t's part kinds:
+        the constant T-polynomial u_x at ramified points, p equal
+        coordinates elsewhere."""
+        zero_s = ls.zero(u.ctx)
+        parts = {pt: SplitPart((s,) * p) for pt, s in u.exceptions.items()}
+        for pt in adeles.ram_locus(t, p):
+            parts[pt] = la.LocalPart((u.component(pt),) + (zero_s,) * (p - 1))
+        return cls(p, parts, SplitPart((u.default,) * p))
+
+    def scale(self, c) -> "AlgebraElement":
+        return AlgebraElement(self.p, *self.combine(lambda part: part.scale(c)))
+
+    def apply(self, g: gg.GlobalAutomorphism, ctx: FieldCtx) -> "AlgebraElement":
+        return AlgebraElement(self.p, *self.combine(lambda part, aut: part.apply(aut, ctx), g))
+
+    def matches(self, other: "AlgebraElement") -> bool:
+        if self.p != other.p:
+            return False
+        exceptions, default = self.combine(lambda a, b: type(a) is type(b) and a.matches(b), other)
+        return default and all(exceptions.values())
+
+
+def as_algebra_element(alpha: gg.PrimitiveElement, t: Idele, prec: int = 8) -> AlgebraElement:
+    """The series model of a primitive element: T^b at ramified points and
+    the coordinates (zeta^c_j)_j of its residue pattern c elsewhere."""
+    ctx = t.ctx
+    zeta = ctx.ensure_zeta()
+    one_s = ls.one(ctx, prec)
+    parts = {
+        pt: la.LocalPart.monomial(b, one_s, alpha.p)
+        for pt, b in alpha.ram_exponents.items()
+    }
+
+    def split(pattern):
+        return SplitPart(ls.constant(ctx, ctx.pow(zeta, c), prec) for c in pattern)
+
+    for pt, pattern in alpha.split_patterns.items():
+        parts[pt] = split(pattern)
+    return AlgebraElement(alpha.p, parts, split(alpha.default_pattern))
+
+
+def in_eigenspace(
+    elem: AlgebraElement, G: gg.CyclicSubgroup, chi: gg.Character, ctx: FieldCtx
+) -> bool:
+    zeta = ctx.ensure_zeta()
+    return elem.apply(G.generator, ctx).matches(elem.scale(ctx.pow(zeta, chi.s)))
+
+
+def algebra_one(p: int, t: Idele, prec: int = 8) -> AlgebraElement:
+    return AlgebraElement.embed(unit_idele(t.ctx, prec), t, p)
+
+
+def algebra_add(self: AlgebraElement, other: AlgebraElement) -> AlgebraElement:
     assert self.p == other.p
-    return gg.AlgebraElement(self.p, *self.combine(local_part_add, other))
+    return AlgebraElement(self.p, *self.combine(local_part_add, other))
 
 
-def algebra_mul(self: gg.AlgebraElement, other: gg.AlgebraElement, t: Idele) -> gg.AlgebraElement:
+def algebra_mul(self: AlgebraElement, other: AlgebraElement, t: Idele) -> AlgebraElement:
     """Product in the algebra over t, one point at a time."""
     assert self.p == other.p
-    return gg.AlgebraElement(self.p, *self.combine(la.LocalPart.mul, other, t))
+    return AlgebraElement(self.p, *self.combine(lambda a, b, t_x: a.mul(b, t_x), other, t))
 
 
 def eigenproject(
-    sample: gg.AlgebraElement, G: gg.CyclicSubgroup, chi: gg.Character, t: Idele
-) -> gg.AlgebraElement:
+    sample: AlgebraElement, G: gg.CyclicSubgroup, chi: gg.Character, t: Idele
+) -> AlgebraElement:
     """Apply the eigenspace idempotent (1/p) sum of chi(g^-1) g."""
     if not gg.is_galois(t, G):
         raise NotGalois("projection needs a Galois action")

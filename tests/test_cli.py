@@ -128,7 +128,7 @@ def test_pairing_reports_a_failed_oracle_as_false(capsys, monkeypatch):
     argv = ["--p", "3", "pairing", "--a", "1", "--lam", lam, "--t", t]
 
     def mul_without_fold(self, other, t_x):
-        return la.LocalPart("ram", la._pol_mul(t_x.ctx, self.data, other.data)[: len(self.data)])
+        return la.LocalPart(la._pol_mul(t_x.ctx, self.data, other.data)[: len(self.data)])
 
     with monkeypatch.context() as m:
         m.setattr(la.LocalPart, "mul", mul_without_fold)
@@ -467,7 +467,7 @@ def test_selftest(capsys):
 def test_selftest_reports_a_failed_conjugation_check(capsys, monkeypatch):
     from adelic_kummer import global_galois as gg
 
-    monkeypatch.setattr(gg, "verify_conjugation", lambda phi, G1, G2, t: False)
+    monkeypatch.setattr(gg, "verify_conjugation", lambda phi, G1, G2: False)
     code, body = run_cli(["--p", "3", "selftest"], capsys)
     assert code == 2
     assert {c["name"]: c["ok"] for c in body["outputs"]["checks"]}["conjugacy_agreement"] is False

@@ -21,7 +21,10 @@ changed no output.  ``classify_redundant_exceptions``, whose idele lists a
 unit component and whose generator lists a split permutation equal to its
 default, and ``isom_n6`` were recorded before ideles, global automorphisms
 and algebra elements came to share one finite-support form, and pin that
-the shared pruning changed no output.  Only
+the shared pruning changed no output.  ``classify_ell2_p5``, at a
+context where p does not divide ell - 1, was recorded before the
+eigenvector check came to be decided on the primitive element's
+description, and pins that this changed no output.  Only
 ``outputs`` is compared, so the rest of the envelope may grow.  Paths
 written ``@name`` are bundled ``data/`` files.
 """
@@ -57,6 +60,10 @@ G2_P5 = {"default_sigma": [3, 4, 5, 1, 2], "exceptions": {"a": {"kind": "ram", "
 T_REDUNDANT = {"default": "1", "points": {"x0": "z^1*(1)", "x1": "z^2*(3 + 1*z)", "x2": "1", "x3": "z^3*(2)"}}
 G_REDUNDANT = {"default_sigma": [2, 3, 1], "exceptions": {"x0": {"kind": "ram", "a": 1}, "x1": {"kind": "ram", "a": 2},
     "x2": {"kind": "unram", "sigma": [2, 3, 1]}, "x3": {"kind": "unram", "sigma": [3, 1, 2]}}}
+
+T_ELL2_P5 = {"default": "1", "points": {"a": "z^1*(1 + 1*z)", "b": "z^5*(1 + 1*z^2)", "c": "z^-2*(1)"}}
+G_ELL2_P5 = {"default_sigma": [2, 3, 4, 5, 1], "exceptions": {"a": {"kind": "ram", "a": 1}, "c": {"kind": "ram", "a": 3},
+    "b": {"kind": "unram", "sigma": [3, 4, 5, 1, 2]}}}
 
 REQUESTS = {
     "classify_standard": ["--p", "3", "--prec", "8", "classify", "--t", "@idele_z.json", "--g", "@aut_standard.json", "--s", "1"],
@@ -107,6 +114,8 @@ REQUESTS = {
         {"default_sigma": [3, 1, 2], "exceptions": {"a": {"kind": "ram", "a": 1}, "u": {"kind": "unram", "sigma": [2, 3, 1]}}}),
     # x2 is a unit component of t and an unram entry equal to the default
     "classify_redundant_exceptions": ["--p", "3", "--prec", "8", "classify", "--t", json.dumps(T_REDUNDANT), "--g", json.dumps(G_REDUNDANT), "--s", "1"],
+    # zeta would sit at level 1; a ramified, a split and a default point
+    "classify_ell2_p5": ["--ell", "2", "--p", "5", "--prec", "8", "classify", "--t", json.dumps(T_ELL2_P5), "--g", json.dumps(G_ELL2_P5), "--s", "2"],
     "isom_n6": ["--p", "3", "--prec", "8", "isom", "--n", "6",
         "--a", json.dumps({"default": "1", "points": {"x0": "z^2*(1)", "x1": "z^3*(2 + 1*z)", "x2": "1"}}),
         "--b", json.dumps({"default": "1", "points": {"x0": "z^4*(3)", "x1": "z^1*(1)"}})],
@@ -122,6 +131,7 @@ EXPECTED = json.loads(
  "classify_twisted": {"outputs": {"vector": {"0": 1, "1": 2}}, "rc": 0},
  "classify_redundant_exceptions": {"outputs": {"vector": {"x0": 1, "x1": 1}}, "rc": 0},
  "classify_p5": {"outputs": {"vector": {"a": 2, "b": 3, "c": 1}}, "rc": 0},
+ "classify_ell2_p5": {"outputs": {"vector": {"a": 2, "c": 2}}, "rc": 0},
  "conjugate_p5": {"outputs": {"b": 3, "verdict": true}, "rc": 0},
  "conjugate": {"outputs": {"b": 2, "verdict": true}, "rc": 0},
  "conjugate_trivial_nontrivial": {"outputs": {"b": null, "verdict": false}, "rc": 0},

@@ -8,7 +8,7 @@ import pytest
 from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
 from adelic_kummer.adeles import Idele, Point
 from adelic_kummer.coeff_field import FieldCtx
-from adelic_kummer.errors import NotEquivalent, NotGalois, NotTransitive
+from adelic_kummer.errors import CheckFailed, NotEquivalent, NotGalois, NotTransitive
 
 import oracles
 
@@ -85,7 +85,7 @@ def test_strong_distinctness_at_split_idempotents(ctx):
     coords = [
         ls.constant(ctx, c, 4) for c in (ctx.elem(2), ctx.elem(3), ctx.elem(5))
     ]
-    sample = gg.AlgebraElement(p, {}, la.LocalPart("split", tuple(coords)))
+    sample = oracles.AlgebraElement(p, {}, oracles.SplitPart(coords))
     cyc = la.LocalAutomorphism.unram((2, 3, 1))
     for k1 in range(3):
         for k2 in range(k1 + 1, 3):
@@ -122,7 +122,7 @@ def test_primitive_element_split_pattern(ctx):
     alpha = gg.primitive_element(t, G, gg.Character(1, 3))
     assert alpha.default_pattern == (0, 1, 2)  # (1, zeta, zeta^2)
     assert adeles.valuation_vector(alpha.alpha_p, 3).is_trivial
-    elem = alpha.as_algebra_element(t)
+    elem = oracles.as_algebra_element(alpha, t)
     cubed = oracles.algebra_mul(oracles.algebra_mul(elem, elem, t), elem, t)
     assert cubed.matches(oracles.algebra_one(3, t))
 
@@ -147,7 +147,7 @@ def test_primitive_element_eigen_property_random(ctx):
         t, G = random_instance(ctx, rng, 3)
         s = rng.randrange(1, 3)
         alpha = gg.primitive_element(t, G, gg.Character(s, 3))
-        elem = alpha.as_algebra_element(t)
+        elem = oracles.as_algebra_element(alpha, t)
         image = elem.apply(G.generator, ctx)
         assert image.matches(elem.scale(ctx.pow(ctx.ensure_zeta(), s)))
         # Ram(alpha^p) = Ram(t)
@@ -225,7 +225,7 @@ def test_construct_conjugation_identity(ctx):
     assert phi.k == 1
     assert phi.to_json()["u"] == {"default": "1", "points": {}}
     assert phi.default_perm == (1, 2, 3)
-    assert gg.verify_conjugation(phi, G, G, t)
+    assert gg.verify_conjugation(phi, G, G)
 
 
 def test_construct_conjugation_twisted(ctx):
@@ -234,7 +234,7 @@ def test_construct_conjugation_twisted(ctx):
     G2 = gg.CyclicSubgroup(G1.generator.power(2), 3)
     phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, 3))
     assert phi.k == 2  # tau precomposes with the inverse automorphism
-    assert gg.verify_conjugation(phi, G1, G2, t)
+    assert gg.verify_conjugation(phi, G1, G2)
 
 
 def test_construct_conjugation_crossed_tuples(ctx):
@@ -242,7 +242,7 @@ def test_construct_conjugation_crossed_tuples(ctx):
     G12 = kummer_group(t, 3, {"x0": 1, "x1": 2})
     G21 = kummer_group(t, 3, {"x0": 2, "x1": 1})
     phi = gg.construct_conjugation(G12, G21, t, gg.Character(1, 3))
-    assert gg.verify_conjugation(phi, G12, G21, t)
+    assert gg.verify_conjugation(phi, G12, G21)
 
 
 def test_verify_conjugation_rejects_a_tampered_phi(ctx):
@@ -250,7 +250,7 @@ def test_verify_conjugation_rejects_a_tampered_phi(ctx):
     G12 = kummer_group(t, 3, {"x0": 1, "x1": 2})
     G21 = kummer_group(t, 3, {"x0": 2, "x1": 1})
     phi = gg.construct_conjugation(G12, G21, t, gg.Character(1, 3))
-    assert gg.verify_conjugation(phi, G12, G21, t)
+    assert gg.verify_conjugation(phi, G12, G21)
 
     def tampered(k, default_perm):
         return gg.Conjugation(3, k, phi.split_perms, default_perm, phi.alpha1, phi.alpha2)
@@ -258,10 +258,10 @@ def test_verify_conjugation_rejects_a_tampered_phi(ctx):
     # rotated split coordinates still intertwine the two actions, but send
     # alpha1 to zeta^j alpha2 with j != 0, not to u alpha2 with u = 1
     rotated = la.perm_compose(phi.default_perm, gg.standard_p_cycle(3))
-    assert not gg.verify_conjugation(tampered(phi.k, rotated), G12, G21, t)
+    assert not gg.verify_conjugation(tampered(phi.k, rotated), G12, G21)
     # a wrong power of tau fails on the descriptions, with no sample drawn
     wrong_k = tampered(phi.k % 3 + 1, phi.default_perm)
-    assert not gg.verify_conjugation(wrong_k, G12, G21, t)
+    assert not gg.verify_conjugation(wrong_k, G12, G21)
 
 
 def test_construct_conjugation_rejects_inequivalent(ctx):
@@ -288,15 +288,11 @@ def random_algebra_element(ctx, t, p, rng, prec=6):
                         + [rng.randrange(ctx.ell) for _ in range(prec - 1)],
                     )
                 )
-        parts[pt] = la.LocalPart("ram", tuple(data))
-    default = la.LocalPart(
-        "split",
-        tuple(
-            ls.constant(ctx, ctx.elem(rng.randrange(1, ctx.ell)), prec)
-            for _ in range(p)
-        ),
+        parts[pt] = la.LocalPart(data)
+    default = oracles.SplitPart(
+        ls.constant(ctx, ctx.elem(rng.randrange(1, ctx.ell)), prec) for _ in range(p)
     )
-    return gg.AlgebraElement(p, parts, default)
+    return oracles.AlgebraElement(p, parts, default)
 
 
 def test_eigenproject_idempotent_and_eigen(ctx):
@@ -309,14 +305,14 @@ def test_eigenproject_idempotent_and_eigen(ctx):
         proj = oracles.eigenproject(sample, G, chi, t)
         again = oracles.eigenproject(proj, G, chi, t)
         assert proj.matches(again)
-        assert gg.in_eigenspace(proj, G, chi, ctx)
+        assert oracles.in_eigenspace(proj, G, chi, ctx)
 
 
 def test_eigenproject_fixed_point_and_orthogonality(ctx):
     t = mk_idele(ctx, {"x0": "z"})
     G = kummer_group(t, 3)
     chi = gg.Character(1, 3)
-    alpha = gg.primitive_element(t, G, chi).as_algebra_element(t)
+    alpha = oracles.as_algebra_element(gg.primitive_element(t, G, chi), t)
     assert oracles.eigenproject(alpha, G, chi, t).matches(alpha)
     one = oracles.algebra_one(3, t)
     proj = oracles.eigenproject(one, G, chi, t)
@@ -332,7 +328,7 @@ def test_eigenproject_split_eigenline(ctx):
     chi = gg.Character(2, 3)
     sample = random_algebra_element(ctx, t, 3, rng)
     proj = oracles.eigenproject(sample, G, chi, t)
-    assert gg.in_eigenspace(proj, G, chi, ctx)
+    assert oracles.in_eigenspace(proj, G, chi, ctx)
 
 
 def test_valuation_formula_at_ramified_points(ctx):
@@ -439,13 +435,13 @@ def test_galois_equivalence_against_brute_force_conjugation():
             if verdict:
                 phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
                 assert phi.k in accepted
-                assert gg.verify_conjugation(phi, G1, G2, t)
+                assert gg.verify_conjugation(phi, G1, G2)
                 # phi is the identity at a ramified point, so g1 = g2^k there
                 # fixes k: a phi that differs only in k is no conjugation
                 wrong_ks = set(range(1, p)) - {phi.k} if ram else set()
                 for k in wrong_ks:
                     wrong = gg.Conjugation(p, k, phi.split_perms, phi.default_perm, phi.alpha1, phi.alpha2)
-                    assert not gg.verify_conjugation(wrong, G1, G2, t)
+                    assert not gg.verify_conjugation(wrong, G1, G2)
             else:
                 with pytest.raises(NotEquivalent):
                     gg.construct_conjugation(G1, G2, t, gg.Character(1, p))
@@ -505,3 +501,98 @@ def test_stratification_by_enumeration(p, r, n_split):
     for values in itertools.product(range(1, p), repeat=r):
         unit_tuple = gg.RamTuple(p, dict(zip(ram, values)))
         assert any(proportional(unit_tuple, cls[0], p) for cls in tuples)
+
+
+# ----------------------------------------------------------------------
+# the description checks against the series model of ``oracles``
+
+
+def random_generator(rng, p, exponents):
+    """Exponent a at each ramified point, a random p-cycle at up to two
+    split exceptions and at the default."""
+    ex = {pt: la.LocalAutomorphism.ram(a, p) for pt, a in exponents.items()}
+    for lbl in rng.sample("uv", rng.randrange(0, 3)):
+        ex[Point(lbl)] = la.LocalAutomorphism.unram(oracles.random_p_cycle(p, rng))
+    return gg.CyclicSubgroup(gg.GlobalAutomorphism(p, ex, oracles.random_p_cycle(p, rng)), p)
+
+
+def tamper(alpha, rng):
+    """alpha with one ramified exponent, one split pattern or the default
+    pattern changed: a pattern to random residues, or shifted by a nonzero
+    constant, which keeps it an eigenvector."""
+    p = alpha.p
+    ram, split, default = dict(alpha.ram_exponents), dict(alpha.split_patterns), alpha.default_pattern
+    pt = rng.choice([*ram, *split, None])
+    if pt in ram:
+        ram[pt] = rng.choice([b for b in range(p) if b != ram[pt]])
+        return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.alpha_p)
+    old = default if pt is None else split[pt]
+    if rng.random() < 0.3:
+        k = rng.randrange(1, p)
+        new = tuple((c + k) % p for c in old)
+    else:
+        new = old
+        while new == old:
+            new = tuple(rng.randrange(p) for _ in range(p))
+    if pt is None:
+        default = new
+    else:
+        split[pt] = new
+    return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.alpha_p)
+
+
+def description_says_eigenvector(alpha, G, chi):
+    try:
+        gg._check_eigenvector(alpha, G, chi)
+    except CheckFailed:
+        return False
+    return True
+
+
+def series_verify_conjugation(phi, G1, G2, t):
+    """``verify_conjugation`` with phi(alpha1) = alpha2 decided on the
+    series model."""
+    aut = phi.automorphism()
+    if aut.compose(G1.generator) != G2.generator.power(phi.k).compose(aut):
+        return False
+    image = oracles.as_algebra_element(phi.alpha1, t).apply(aut, t.ctx)
+    return image.matches(oracles.as_algebra_element(phi.alpha2, t))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_description_checks_agree_with_the_series_model(p):
+    ctx = FieldCtx({2: 7, 3: 7, 5: 11}[p], p)
+    rng = random.Random(26 * p)
+    verdicts = set()
+    for _ in range(15):
+        ram = [Point(lbl) for lbl in rng.sample("abc", rng.randrange(0, 4))]
+        t = Idele(
+            {
+                pt: ls.series(ctx, rng.choice([v for v in range(-5, 6) if v % p]), [rng.randrange(1, ctx.ell), 1])
+                for pt in ram
+            },
+            ls.one(ctx, 4),
+        )
+        exponents = {pt: rng.randrange(1, p) for pt in ram}
+        k = rng.randrange(1, p)
+        G1 = random_generator(rng, p, exponents)
+        G2 = random_generator(rng, p, {pt: a * k % p for pt, a in exponents.items()})
+        phi = gg.construct_conjugation(G1, G2, t, gg.Character(rng.randrange(1, p), p))
+        tampered1, tampered2 = tamper(phi.alpha1, rng), tamper(phi.alpha2, rng)
+        for alpha, G in ((phi.alpha1, G1), (phi.alpha2, G2), (tampered1, G1), (tampered2, G2)):
+            chi = gg.Character(alpha.s, p)
+            want = oracles.in_eigenspace(oracles.as_algebra_element(alpha, t, prec=4), G, chi, ctx)
+            assert description_says_eigenvector(alpha, G, chi) == want
+            verdicts.add(("eigenvector", want))
+        rho = tuple(rng.sample(phi.default_perm, p))
+        for alpha1, alpha2, default_perm in (
+            (phi.alpha1, phi.alpha2, phi.default_perm),
+            (tampered1, phi.alpha2, phi.default_perm),
+            (phi.alpha1, tampered2, phi.default_perm),
+            (phi.alpha1, phi.alpha2, rho),
+        ):
+            other = gg.Conjugation(p, phi.k, phi.split_perms, default_perm, alpha1, alpha2)
+            want = series_verify_conjugation(other, G1, G2, t)
+            assert gg.verify_conjugation(other, G1, G2) == want
+            verdicts.add(("conjugation", want))
+    assert verdicts == {(check, v) for check in ("eigenvector", "conjugation") for v in (True, False)}

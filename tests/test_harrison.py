@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from adelic_kummer import adeles, global_galois as gg, harrison as hr, laurent as ls
+from adelic_kummer import adeles, global_galois as gg, harrison as hr, laurent as ls, local_algebra as la
 from adelic_kummer.adeles import Idele, Point, ValuationVector
 from adelic_kummer.coeff_field import FieldCtx
 
@@ -34,6 +34,20 @@ def test_classify_kummer_action_gives_vec_of_t(ctx):
     c = hr.classify(t, G, gg.Character(1, 3))
     assert c == vec(3, {"x0": 1})
     assert c == adeles.valuation_vector(t, 3)
+
+
+def test_classify_builds_no_zeta():
+    # 5 does not divide 2 - 1, so zeta would need a degree-4 step; the
+    # eigenvector check decides g(alpha) = chi(g) alpha on residues mod 5
+    ctx = FieldCtx(2, 5)
+    t = mk_idele(ctx, {"a": "z^2*(1 + 1*z)", "b": "z^5*(1)"})
+    g = gg.GlobalAutomorphism(
+        5,
+        {Point("a"): la.LocalAutomorphism.ram(3, 5), Point("b"): la.LocalAutomorphism.unram((3, 4, 5, 1, 2))},
+        gg.standard_p_cycle(5),
+    )
+    assert hr.classify(t, gg.CyclicSubgroup(g, 5), gg.Character(1, 5)) == vec(5, {"a": 4})
+    assert ctx.levels == 1
 
 
 def test_classify_trivial_iff_unramified(ctx):

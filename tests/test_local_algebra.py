@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from adelic_kummer import adeles, global_galois as gg, laurent as ls, local_algebra as la
+from adelic_kummer import adeles, laurent as ls, local_algebra as la
 from adelic_kummer.adeles import Idele, Point
 from adelic_kummer.coeff_field import FieldCtx
 from adelic_kummer.errors import IncompatibleStructure, PrecisionExhausted, UnramifiedPoint
@@ -204,7 +204,7 @@ def test_char_poly_split_eigenvector(ctx):
     zeta = ctx.ensure_zeta()
     u = ls.from_text(ctx, "(2 + 1*z)", 8)
     coords = [ls.scale(u, ctx.pow(zeta, k)) for k in range(3)]
-    alpha = la.LocalPart("split", coords)
+    alpha = oracles.SplitPart(coords)
     t = ls.one(ctx, 8)
     pol = oracles.char_poly_primitive(alpha, t, 3, ctx)
     alpha_p = oracles.eigenvector_pth_power(alpha, t, 3, ctx)
@@ -233,7 +233,7 @@ def test_char_poly_noninvertible(ctx):
         oracles.char_poly_primitive(la.LocalPart.monomial(1, ls.zero(ctx), 3), t, 3, ctx)
     with pytest.raises(NonInvertible):
         oracles.char_poly_primitive(
-            la.LocalPart("split", [ls.one(ctx, 8), ls.zero(ctx), ls.one(ctx, 8)]),
+            oracles.SplitPart([ls.one(ctx, 8), ls.zero(ctx), ls.one(ctx, 8)]),
             ls.one(ctx, 8), 3, ctx,
         )
 
@@ -263,7 +263,7 @@ def test_unram_action_composition_consistency():
             g = la.LocalAutomorphism.unram(s1)
             h = la.LocalAutomorphism.unram(s2)
             gh = g.compose(h, p)
-            part = la.LocalPart("split", coords)
+            part = oracles.SplitPart(coords)
             assert part.apply(gh).data == part.apply(h).apply(g).data
 
 
@@ -272,7 +272,7 @@ def test_ram_action_on_tpoly(ctx):
     g = la.LocalAutomorphism.ram(2, 3)
     one = ls.one(ctx, 4)
     coeffs = (one, one, one)
-    out = la.LocalPart("ram", coeffs).apply(g, ctx).data
+    out = la.LocalPart(coeffs).apply(g, ctx).data
     assert ls.matches(out[0], one)
     assert ls.matches(out[1], ls.scale(one, ctx.pow(zeta, 2)))
     assert ls.matches(out[2], ls.scale(one, ctx.pow(zeta, 4)))
@@ -376,8 +376,8 @@ def series(draw, ctx, val=None, zero=True):
 
 
 @st.composite
-def parts(draw, ctx, p, kind="ram"):
-    return la.LocalPart(kind, [draw(series(ctx)) for _ in range(p)])
+def parts(draw, ctx, p, form=la.LocalPart):
+    return form([draw(series(ctx)) for _ in range(p)])
 
 
 @st.composite
@@ -397,10 +397,10 @@ def test_local_part_mul_matches_reference(p, data):
     got = exact(lambda: f.mul(g, t_x))
     want = exact(lambda: ref_ram_mul(f.data, g.data, p, t_x))
     assume(got is not None and want is not None)
-    assert got.kind == "ram" and agree(got.data, want)
-    split_f, split_g = la.LocalPart("split", f.data), la.LocalPart("split", g.data)
+    assert type(got) is la.LocalPart and agree(got.data, want)
+    split_f, split_g = oracles.SplitPart(f.data), oracles.SplitPart(g.data)
     prod = split_f.mul(split_g, t_x)
-    assert prod.kind == "split"
+    assert type(prod) is oracles.SplitPart
     assert all(map(same, prod.data, map(ls.mul, f.data, g.data)))
 
 
@@ -409,9 +409,9 @@ def test_local_part_mul_matches_reference(p, data):
 @given(data=st.data())
 def test_local_part_mul_commutative_and_associative(p, data):
     ctx = FieldCtx(ELL_FOR[p], p)
-    kind = data.draw(st.sampled_from(["ram", "split"]))
+    form = data.draw(st.sampled_from([la.LocalPart, oracles.SplitPart]))
     t_x = data.draw(parameters(ctx, p, ramified=data.draw(st.booleans())))
-    f, g, h = (data.draw(parts(ctx, p, kind)) for _ in range(3))
+    f, g, h = (data.draw(parts(ctx, p, form)) for _ in range(3))
     fg, gf = exact(lambda: f.mul(g, t_x)), exact(lambda: g.mul(f, t_x))
     left = exact(lambda: fg.mul(h, t_x)) if fg is not None else None
     right = exact(lambda: f.mul(g.mul(h, t_x), t_x))
@@ -428,13 +428,13 @@ def test_local_part_apply_matches_reference(p, data):
     f = data.draw(parts(ctx, p))
     ram = la.LocalAutomorphism.ram(data.draw(st.integers(-p, 2 * p)), p)
     moved = f.apply(ram, ctx)
-    assert moved.kind == "ram"
+    assert type(moved) is la.LocalPart
     assert all(map(same, moved.data, ref_apply_tpoly(ram, f.data, ctx)))
     sigma = data.draw(st.permutations(range(1, p + 1)))
     unram = la.LocalAutomorphism.unram(sigma)
-    split = la.LocalPart("split", f.data)
+    split = oracles.SplitPart(f.data)
     moved = split.apply(unram)
-    assert moved.kind == "split"
+    assert type(moved) is oracles.SplitPart
     assert moved.data == ref_apply_coords(unram, split.data)
 
 
@@ -471,21 +471,21 @@ def ideles(draw, ctx, p, labels="abcd"):
 def test_embed_is_multiplicative(p, data):
     ctx = FieldCtx(ELL_FOR[p], p)
     t, u, v = (data.draw(ideles(ctx, p)) for _ in range(3))
-    lhs = oracles.algebra_mul(gg.AlgebraElement.embed(u, t, p), gg.AlgebraElement.embed(v, t, p), t)
-    assert lhs.matches(gg.AlgebraElement.embed(adeles.idele_mul(u, v), t, p))
+    lhs = oracles.algebra_mul(oracles.AlgebraElement.embed(u, t, p), oracles.AlgebraElement.embed(v, t, p), t)
+    assert lhs.matches(oracles.AlgebraElement.embed(adeles.idele_mul(u, v), t, p))
     for pt in adeles.ram_locus(t, p):
-        assert lhs.component(pt).kind == "ram"
+        assert type(lhs.component(pt)) is la.LocalPart
 
 
 def test_monomial_and_one(ctx):
     c = ls.from_text(ctx, "(2 + 1*z)", 6)
     part = la.LocalPart.monomial(2, c, 3)
-    assert part.kind == "ram" and same(part.data[2], c)
+    assert type(part) is la.LocalPart and same(part.data[2], c)
     assert part.data[0].is_zero and part.data[1].is_zero
     t = Idele({Point("x"): oracles.uniformizer(ctx, 6)}, ls.one(ctx, 6))
     one = oracles.algebra_one(3, t, prec=6)
     assert one.component(Point("x")).matches(la.LocalPart.monomial(0, ls.one(ctx, 6), 3))
-    assert one.default.matches(la.LocalPart("split", [ls.one(ctx, 6)] * 3))
+    assert one.default.matches(oracles.SplitPart([ls.one(ctx, 6)] * 3))
     # T^2 * T = T^3 = t_x
     squared = la.LocalPart.monomial(2, ls.one(ctx, 6), 3)
     cube = squared.mul(la.LocalPart.monomial(1, ls.one(ctx, 6), 3), t.component(Point("x")))
@@ -496,4 +496,4 @@ def test_char_poly_rejects_non_monomial_ram_part(ctx):
     t = oracles.uniformizer(ctx, 8)
     one = ls.one(ctx, 8)
     with pytest.raises(ValueError):
-        oracles.char_poly_primitive(la.LocalPart("ram", [one, one, ls.zero(ctx)]), t, 3, ctx)
+        oracles.char_poly_primitive(la.LocalPart([one, one, ls.zero(ctx)]), t, 3, ctx)
