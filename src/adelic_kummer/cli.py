@@ -208,7 +208,7 @@ def run(args) -> dict:
 
     if args.command == "superelliptic":
         f = p1.RationalFunction.from_json(ctx, _read_json(args.f))
-        result = p1.classify_superelliptic(f, p, prec, strict=not args.lenient)
+        result = p1.classify_superelliptic(f, p, strict=not args.lenient)
         return {
             "vec": result.vec.to_json(),
             "ram": [pt.label for pt in result.ram],
@@ -217,12 +217,12 @@ def run(args) -> dict:
         }
 
     if args.command == "selftest":
-        return selftest(ctx, prec)
+        return selftest(ctx)
 
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def selftest(ctx: FieldCtx, prec: int) -> dict:
+def selftest(ctx: FieldCtx) -> dict:
     """Deterministic cross-checks of the main invariants."""
     p = ctx.p
     rng = random.Random(1)
@@ -294,7 +294,7 @@ def selftest(ctx: FieldCtx, prec: int) -> dict:
 
     if p == 3:
         f = p1.RationalFunction(ctx, ctx.one(), {ctx.elem(0): 1, ctx.elem(1): 2})
-        out = p1.classify_superelliptic(f, 3, prec)
+        out = p1.classify_superelliptic(f, 3)
         check("superelliptic_example", out.vec.to_json() == {"0": 1, "1": 2})
 
     return {"passed": sum(c["ok"] for c in checks), "failed": sum(not c["ok"] for c in checks), "checks": checks}

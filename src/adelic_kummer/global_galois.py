@@ -8,23 +8,24 @@ composition and covers, up to the equivalences decided here, every
 p-cyclic subgroup the deciders quantify over.
 
 The operations: transitivity/Galois checks, construction of eigenvector
-primitive elements, ramified-tuple invariants via the local Kummer
-pairing, Galois equivalence of subgroups, and explicit conjugations
-(phi, tau).  A primitive element is a finite description too: an exponent
-b at each ramified point and a residue pattern c at each split point, for
-alpha = T^b and alpha = (zeta^c_j)_j.  Because zeta has exact order p,
+primitive elements, ramified-tuple invariants, Galois equivalence of
+subgroups, and explicit conjugations (phi, tau).  A primitive element is
+a finite description too: an exponent b at each ramified point and a
+residue pattern c at each split point, for alpha = T^b and
+alpha = (zeta^c_j)_j.  Because zeta has exact order p,
 g(alpha) = chi(g) alpha and phi(alpha1) = alpha2 are congruences mod p on
 those descriptions, and are checked as such.  phi is itself a global
 automorphism, so phi . g = tau(g) . phi is verified exactly, as an
 equality of two finite descriptions.
-The ramified tuple is a valuation vector whose entries are units; Galois
+The ramified tuple a_x v_x(t_x)^-1 mod p is the closed form of the log
+of the local Kummer symbol, read off the valuations without zeta.  Galois
 equivalence and the power k of tau(g1) = g2^k both come from
 ``ValuationVector.ratio``, which also decides conjugacy of classes.
 """
 
 from __future__ import annotations
 
-from . import adeles, laurent as ls, local_algebra as la
+from . import adeles, local_algebra as la
 from .adeles import Adele, Idele, Point, ValuationVector
 from .errors import CheckFailed, NotEquivalent, NotGalois, NotTransitive, json_value
 
@@ -200,17 +201,18 @@ class PrimitiveElement:
     an idele, held as its description: T^b with a b = s at each ramified
     point, and the split coordinates (zeta^c_j)_j with the residue pattern
     c of ``eigen_pattern`` at each split point, ``default_pattern`` at
-    every unlisted one."""
+    every unlisted one.  ``vector`` is the class of alpha^p = (t_x^b, 1):
+    b v_x(t_x) mod p at each ramified point."""
 
-    __slots__ = ("p", "s", "ram_exponents", "split_patterns", "default_pattern", "alpha_p")
+    __slots__ = ("p", "s", "ram_exponents", "split_patterns", "default_pattern", "vector")
 
-    def __init__(self, p, s, ram_exponents, split_patterns, default_pattern, alpha_p):
+    def __init__(self, p, s, ram_exponents, split_patterns, default_pattern, vector):
         self.p = p
         self.s = s
         self.ram_exponents = ram_exponents  # Point -> b
         self.split_patterns = split_patterns  # Point -> residue tuple
         self.default_pattern = default_pattern
-        self.alpha_p = alpha_p
+        self.vector = vector
 
     def patterns(self) -> Adele:
         """The residue patterns in restricted-product form."""
@@ -225,17 +227,16 @@ def primitive_element(t: Idele, G: CyclicSubgroup, chi: Character) -> PrimitiveE
     g = G.generator
     ram_exponents = {}
     split_patterns = {}
-    alpha_p_parts = {}
     for pt, aut in g.exceptions.items():
         if aut.kind == "ram":
-            b = (s * pow(aut.a, -1, p)) % p
-            ram_exponents[pt] = b
-            alpha_p_parts[pt] = ls.power(t.component(pt), b)
+            ram_exponents[pt] = (s * pow(aut.a, -1, p)) % p
         else:
             split_patterns[pt] = eigen_pattern(aut.sigma, s, p)
     default_pattern = eigen_pattern(g.default_sigma, s, p)
-    alpha_p = Idele(alpha_p_parts, ls.one(t.ctx, t.default.prec))
-    alpha = PrimitiveElement(p, s, ram_exponents, split_patterns, default_pattern, alpha_p)
+    vector = ValuationVector(
+        p, {pt: b * t.component(pt).valuation() for pt, b in ram_exponents.items()}
+    )
+    alpha = PrimitiveElement(p, s, ram_exponents, split_patterns, default_pattern, vector)
     _check_eigenvector(alpha, G, chi)
     return alpha
 
@@ -261,17 +262,15 @@ def _check_eigenvector(alpha: PrimitiveElement, G: CyclicSubgroup, chi: Characte
 
 
 def ram_tuple(G: CyclicSubgroup, t: Idele) -> RamTuple:
-    """log_zeta of the pairing of each ramified component against the
-    uniformizer: a_x / v_x(t_x) mod p."""
+    """a_x v_x(t_x)^-1 mod p at each ramified point: log_zeta of the closed
+    form ``kummer_pair(a_x, 1, v_x(t_x))`` of the symbol against z."""
     if not is_pointwise_transitive(G, t):
         raise NotTransitive("tuple invariant needs a pointwise transitive subgroup")
-    ctx = t.ctx
-    entries = {}
-    for pt in adeles.ram_locus(t, G.p):
-        a = G.generator.exceptions[pt].a
-        t_val = t.component(pt).valuation()
-        entries[pt] = ctx.log_zeta(la.kummer_pair(a, 1, t_val, ctx))
-    return RamTuple(G.p, entries)
+    p = G.p
+    return RamTuple(p, {
+        pt: G.generator.exceptions[pt].a * pow(t.component(pt).valuation(), -1, p) % p
+        for pt in adeles.ram_locus(t, p)
+    })
 
 
 def galois_equivalent(G1: CyclicSubgroup, G2: CyclicSubgroup, t: Idele) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import adeles, global_galois as gg
+from . import global_galois as gg
 from .adeles import Idele, ValuationVector
 from .errors import NotGalois
 
@@ -30,11 +30,11 @@ def canonical_vector(vec: ValuationVector) -> ValuationVector:
 
 
 def classify(t: Idele, G: gg.CyclicSubgroup, chi: gg.Character) -> ValuationVector:
-    """Valuation vector of alpha^p for the canonical primitive element."""
+    """Valuation vector of alpha^p for the canonical primitive element,
+    read off its description (``PrimitiveElement.vector``)."""
     if not gg.is_galois(t, G):
         raise NotGalois("classification needs a Galois action")
-    alpha = gg.primitive_element(t, G, chi)
-    return adeles.valuation_vector(alpha.alpha_p, G.p)
+    return gg.primitive_element(t, G, chi).vector
 
 
 def conjugacy_classes_over(points: list, p: int) -> set[ValuationVector]:

@@ -8,8 +8,8 @@ stored component is the designated unit 1, with the exact unit germ
 available on demand from ``germ``.
 
 The superelliptic classifier reduces a degree-p cover y^p = f(x) to the
-mod-p divisor of f, cross-checked against the full classification pipeline
-over the germ idele.
+mod-p divisor of f, cross-checked on the valuations of the germ idele,
+which is built at one term (see ``classify_superelliptic``).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class SuperellipticClassification:
 
 
 def classify_superelliptic(
-    f: RationalFunction, p: int, prec: int = ls.DEFAULT_PREC, strict: bool = True
+    f: RationalFunction, p: int, strict: bool = True
 ) -> SuperellipticClassification:
     """Invariants of the degree-p cover y^p = f(x).
 
@@ -145,8 +145,12 @@ def classify_superelliptic(
     f = c h^g and g k = 1 mod p, f^k agrees with c^k h up to p-th powers,
     so y^p = f is the same cover as that of a function with exponents
     divided by g.
-    The vector is the mod-p divisor, cross-checked against the
-    classification of the germ idele under the standard action.
+    The vector is the mod-p divisor.  The cross-check verifies the germ
+    valuations, the exponent at each root and -deg at infinity: it runs
+    them through ``is_galois``, ``primitive_element`` and
+    ``_check_eigenvector`` under the standard action and compares the class
+    with the divisor.  No term past the first can change its verdict, so
+    the germs are built at one term.
     """
     ctx = f.ctx
     if p != ctx.p:
@@ -177,12 +181,9 @@ def classify_superelliptic(
                 f" that of a function with exponents divided by {g}"
             )
             warnings.warn(warns[-1])
-    direct = adeles.ValuationVector(
-        p, {pt: v for pt, v in divisor(f).items()}
-    )
-    t = germ_idele(f, prec)
-    G = gg.standard_kummer_subgroup(t, p)
-    pipeline = hr.classify(t, G, gg.Character(1, p))
+    direct = adeles.ValuationVector(p, divisor(f))
+    t = germ_idele(f, 1)
+    pipeline = hr.classify(t, gg.standard_kummer_subgroup(t, p), gg.Character(1, p))
     if pipeline != direct:
         raise CheckFailed("divisor route and germ route disagree")
     return SuperellipticClassification(

@@ -6,9 +6,10 @@ conjugations, and the Kummer pairing.  The splitting data of
 K_x[T]/(T^n - t_x), a Leibniz characteristic polynomial, the eigenspace
 projector, and the series model of an algebra element (``SplitPart``
 beside ``la.LocalPart``, ``AlgebraElement``, ``as_algebra_element`` and
-``in_eigenspace``) serve as independent checks of that code, so they live
-beside the tests that use them.  Methods of the program's classes become
-functions taking the instance first.
+``in_eigenspace``), and alpha^p as a series idele (``pth_power_idele``),
+serve as independent checks of that code, so they live beside the tests
+that use them.  Methods of the program's classes become functions taking
+the instance first.
 """
 
 from __future__ import annotations
@@ -375,6 +376,15 @@ def as_algebra_element(alpha: gg.PrimitiveElement, t: Idele, prec: int = 8) -> A
     for pt, pattern in alpha.split_patterns.items():
         parts[pt] = split(pattern)
     return AlgebraElement(alpha.p, parts, split(alpha.default_pattern))
+
+
+def pth_power_idele(alpha: gg.PrimitiveElement, t: Idele) -> Idele:
+    """alpha^p as a series idele: (T^b)^p = t_x^b at each ramified point,
+    and 1 at split points, where (zeta^c_j)^p = 1."""
+    return Idele(
+        {pt: ls.power(t.component(pt), b) for pt, b in alpha.ram_exponents.items()},
+        ls.one(t.ctx, t.default.prec),
+    )
 
 
 def in_eigenspace(

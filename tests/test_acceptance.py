@@ -240,18 +240,20 @@ def test_6_primitive_element_contracts():
             elem = oracles.as_algebra_element(alpha, t)
             assert elem.apply(G.generator, ctx).matches(elem.scale(ctx.pow(zeta, s)))
             # alpha^p is an idele with the same ramification locus
-            assert isinstance(alpha.alpha_p, Idele)
-            assert adeles.ram_locus(alpha.alpha_p, p) == adeles.ram_locus(t, p)
+            alpha_p = oracles.pth_power_idele(alpha, t)
+            assert isinstance(alpha_p, Idele)
+            assert adeles.ram_locus(alpha_p, p) == adeles.ram_locus(t, p)
             # closed-form valuations at ramified points
             tup = gg.ram_tuple(G, t)
-            vec = adeles.valuation_vector(alpha.alpha_p, p)
+            vec = adeles.valuation_vector(alpha_p, p)
             for pt, entry in tup.support.items():
                 assert vec.support[pt] == (s * pow(entry, -1, p)) % p
+            assert alpha.vector == vec
             # characteristic polynomial = T^p - alpha^p, by determinant
             for pt, b in alpha.ram_exponents.items():
                 ev = la.LocalPart.monomial(b, ls.one(ctx, 8), p)
                 pol = oracles.char_poly_primitive(ev, t.component(pt), p, ctx)
-                assert ls.matches(pol[0], ls.neg(alpha.alpha_p.component(pt)))
+                assert ls.matches(pol[0], ls.neg(alpha_p.component(pt)))
                 assert all(pol[k].is_zero for k in range(1, p))
                 assert ls.matches(pol[p], ls.one(ctx, pol[p].prec))
             pattern = alpha.default_pattern

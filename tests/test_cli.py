@@ -1,5 +1,6 @@
 """CLI dispatch, JSON envelopes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -98,6 +99,46 @@ def test_equivalent_and_conjugation(capsys):
     assert code == 0
     assert body["outputs"]["verified"] is True
     assert body["outputs"]["tau_power"] == 2
+
+
+# p = 107 is prime to 2 - 1, so zeta would need a tower step of degree
+# ord_107(2) = 106; the tuple, equivalence and conjugation need none.
+# The stdout digests were recorded where these requests still built zeta.
+P107_T = json.dumps({"default": "1", "points": {"a": "z^1*(1)", "b": "z^3*(1 + 1*z)"}})
+P107_G1 = json.dumps({
+    "default_sigma": list(range(2, 108)) + [1],
+    "exceptions": {"a": {"kind": "ram", "a": 1}, "b": {"kind": "ram", "a": 2}},
+})
+P107_G2 = json.dumps({
+    "default_sigma": [(j + 1) % 107 + 1 for j in range(1, 108)],
+    "exceptions": {"a": {"kind": "ram", "a": 3}, "b": {"kind": "ram", "a": 6}},
+})
+
+
+@pytest.mark.parametrize("argv,outputs,digest", [
+    (
+        ["tuple", "--t", P107_T, "--g", P107_G1],
+        {"tuple": {"a": 1, "b": 72}},
+        "fb4f3e0c5b20d0aa71a6a6b8b27a52c12f8a9a28a67a618d7bd57a4be9a752c2",
+    ),
+    (
+        ["equivalent", "--t", P107_T, "--g1", P107_G1, "--g2", P107_G2],
+        {"verdict": True},
+        "c4245fc3f86a5ef5cbab7444b56a2dc261e36af8864c958c84699d2d8e780eee",
+    ),
+    (
+        ["conjugation", "--t", P107_T, "--g1", P107_G1, "--g2", P107_G2, "--s", "1"],
+        {"verdict": True, "verified": True, "tau_power": 36, "split_perms": {}},
+        "9256a0a24ab252817a62673543611a15a14c1b14be3e553ce5fc6c3ab8fc49e2",
+    ),
+], ids=["tuple", "equivalent", "conjugation"])
+def test_requests_past_the_zeta_degree_cliff(argv, outputs, digest, capsys):
+    code = cli.main(["--ell", "2", "--p", "107", "--prec", "32", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    body = json.loads(out)
+    assert {k: body["outputs"][k] for k in outputs} == outputs
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_isom(capsys):

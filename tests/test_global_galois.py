@@ -106,7 +106,9 @@ def test_primitive_element_kummer_action(ctx):
     G = kummer_group(t, 3)
     alpha = gg.primitive_element(t, G, gg.Character(1, 3))
     assert alpha.ram_exponents == {Point("x0"): 1}  # alpha = T
-    assert oracles.idele_eq(alpha.alpha_p, t)  # alpha^p = t
+    alpha_p = oracles.pth_power_idele(alpha, t)
+    assert oracles.idele_eq(alpha_p, t)  # alpha^p = t
+    assert alpha.vector == adeles.valuation_vector(alpha_p, 3)
 
 
 def test_primitive_element_inverse_exponent(ctx):
@@ -121,7 +123,9 @@ def test_primitive_element_split_pattern(ctx):
     G = gg.standard_kummer_subgroup(t, 3)
     alpha = gg.primitive_element(t, G, gg.Character(1, 3))
     assert alpha.default_pattern == (0, 1, 2)  # (1, zeta, zeta^2)
-    assert adeles.valuation_vector(alpha.alpha_p, 3).is_trivial
+    alpha_p = oracles.pth_power_idele(alpha, t)
+    assert adeles.valuation_vector(alpha_p, 3).is_trivial
+    assert alpha.vector == adeles.valuation_vector(alpha_p, 3)
     elem = oracles.as_algebra_element(alpha, t)
     cubed = oracles.algebra_mul(oracles.algebra_mul(elem, elem, t), elem, t)
     assert cubed.matches(oracles.algebra_one(3, t))
@@ -151,7 +155,9 @@ def test_primitive_element_eigen_property_random(ctx):
         image = elem.apply(G.generator, ctx)
         assert image.matches(elem.scale(ctx.pow(ctx.ensure_zeta(), s)))
         # Ram(alpha^p) = Ram(t)
-        assert adeles.ram_locus(alpha.alpha_p, 3) == adeles.ram_locus(t, 3)
+        alpha_p = oracles.pth_power_idele(alpha, t)
+        assert adeles.ram_locus(alpha_p, 3) == adeles.ram_locus(t, 3)
+        assert alpha.vector == adeles.valuation_vector(alpha_p, 3)
 
 
 def random_instance(ctx, rng, p, n_ram=None, labels=("a", "b", "c", "d", "e")):
@@ -202,6 +208,46 @@ def test_ram_tuple_requires_transitive(ctx):
     )
     with pytest.raises(NotTransitive):
         gg.ram_tuple(gg.CyclicSubgroup(g, 3), t)
+
+
+@pytest.mark.parametrize("ell,p", [(7, 2), (7, 3), (11, 5), (2, 5), (29, 7), (2, 7)])
+def test_ram_tuple_is_the_log_of_the_kummer_symbol(ell, p):
+    # zeta needs a tower step at (2, 5) and (2, 7); for p >= 5 some unit
+    # v has v^2 != 1 mod p, where a v^-1 and a v differ
+    ctx = FieldCtx(ell, p)
+    rng = random.Random(ell * p)
+    told_apart = False
+    for _ in range(15):
+        exponents, exceptions = {}, {}
+        for lbl in rng.sample("abcd", rng.randrange(1, 4)):
+            v = rng.choice([v for v in range(-2 * p, 2 * p + 1) if v % p])
+            coeffs = [rng.randrange(1, ell)] + [rng.randrange(ell) for _ in range(3)]
+            exceptions[Point(lbl)] = ls.series(ctx, v, coeffs)
+            exponents[Point(lbl)] = rng.randrange(1, p)
+            told_apart |= v * v % p != 1
+        t = Idele(exceptions, ls.one(ctx, 4))
+        G = random_generator(rng, p, exponents)
+        tup = gg.ram_tuple(G, t)
+        assert set(tup.support) == set(exceptions)
+        for pt, a in exponents.items():
+            v = t.component(pt).valuation()
+            assert tup.support[pt] == ctx.log_zeta(la.kummer_pair(a, 1, v, ctx))
+    assert told_apart or p <= 3
+
+
+def test_tuple_equivalence_and_conjugation_build_no_zeta():
+    # 5 does not divide 2 - 1, so zeta would need a degree-4 step; the
+    # tuple is read off the valuations and the conjugation is checked on
+    # residues mod 5
+    ctx = FieldCtx(2, 5)
+    t = mk_idele(ctx, {"a": "z^2*(1 + 1*z)", "b": "z^3*(1)"})
+    G1 = kummer_group(t, 5, {"a": 1, "b": 3})
+    G2 = kummer_group(t, 5, {"a": 2, "b": 1})
+    assert gg.ram_tuple(G1, t).to_json() == {"a": 3, "b": 1}
+    assert gg.galois_equivalent(G1, G2, t)
+    phi = gg.construct_conjugation(G1, G2, t, gg.Character(1, 5))
+    assert phi.k == 3 and gg.verify_conjugation(phi, G1, G2)
+    assert ctx.levels == 1
 
 
 def test_galois_equivalent_orbits(ctx):
@@ -339,10 +385,11 @@ def test_valuation_formula_at_ramified_points(ctx):
         s = rng.randrange(1, 3)
         alpha = gg.primitive_element(t, G, gg.Character(s, 3))
         tup = gg.ram_tuple(G, t)
-        vec = adeles.valuation_vector(alpha.alpha_p, 3)
+        vec = adeles.valuation_vector(oracles.pth_power_idele(alpha, t), 3)
         for pt, entry in tup.support.items():
             assert vec.support[pt] == (s * pow(entry, -1, 3)) % 3
         assert set(vec.support) == set(tup.support)
+        assert alpha.vector == vec
 
 
 def test_automorphism_json_roundtrip(ctx):
@@ -525,7 +572,7 @@ def tamper(alpha, rng):
     pt = rng.choice([*ram, *split, None])
     if pt in ram:
         ram[pt] = rng.choice([b for b in range(p) if b != ram[pt]])
-        return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.alpha_p)
+        return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.vector)
     old = default if pt is None else split[pt]
     if rng.random() < 0.3:
         k = rng.randrange(1, p)
@@ -538,7 +585,7 @@ def tamper(alpha, rng):
         default = new
     else:
         split[pt] = new
-    return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.alpha_p)
+    return gg.PrimitiveElement(p, alpha.s, ram, split, default, alpha.vector)
 
 
 def description_says_eigenvector(alpha, G, chi):

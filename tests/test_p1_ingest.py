@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adelic_kummer import adeles, laurent as ls, p1_ingest as p1
+from adelic_kummer import adeles, global_galois as gg, harrison as hr, laurent as ls, p1_ingest as p1
 from adelic_kummer.adeles import INFINITY, Point
 from adelic_kummer.coeff_field import FieldCtx, FieldElem
 from adelic_kummer.errors import NotAdmissible, PthPower
@@ -92,6 +92,22 @@ def test_germ_multiplicativity(ctx):
         v_g = adeles.valuation_vector(p1.germ_idele(g, 6), 3)
         v_fg = adeles.valuation_vector(p1.germ_idele(fg, 6), 3)
         assert v_fg == v_f.add(v_g)
+
+
+@pytest.mark.parametrize("ell,p", [(7, 3), (11, 5)])
+def test_the_germ_route_reads_only_the_first_term(ell, p):
+    # the cross-check of classify_superelliptic builds its germs at one term
+    ctx = FieldCtx(ell, p)
+    rng = random.Random(ell * p)
+    for _ in range(20):
+        roots = rng.sample(range(ell), rng.randrange(1, 5))
+        exps = {ctx.elem(r): rng.choice([e for e in range(-2 * p, 2 * p + 1) if e]) for r in roots}
+        f = p1.RationalFunction(ctx, ctx.elem(rng.randrange(1, ell)), exps)
+        one_term, eight_terms = (
+            hr.classify(t, gg.standard_kummer_subgroup(t, p), gg.Character(1, p))
+            for t in (p1.germ_idele(f, 1), p1.germ_idele(f, 8))
+        )
+        assert one_term == eight_terms == adeles.ValuationVector(p, p1.divisor(f))
 
 
 def test_superelliptic_main_example(ctx):
